@@ -15,14 +15,16 @@ std::atomic_ref<T> relaxed(T& value) {
   return std::atomic_ref<T>(value);
 }
 
-/// Index of y in the sorted partner list, or npos when absent.
-std::size_t partner_slot(const std::vector<NodeId>& partners, NodeId y) {
-  const auto it = std::lower_bound(partners.begin(), partners.end(), y);
-  if (it == partners.end() || *it != y) return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(it - partners.begin());
-}
-
 }  // namespace
+
+std::size_t PairLedger::partner_slot(const std::vector<NodeId>& partners,
+                                     NodeId y) {
+  const std::size_t slot = lower_slot(partners.data(), partners.size(), y);
+  if (slot == partners.size() || partners[slot] != y) {
+    return static_cast<std::size_t>(-1);
+  }
+  return slot;
+}
 
 PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
@@ -51,8 +53,7 @@ void PairLedger::check(NodeId x, NodeId y) const {
 
 std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
   const Row& row = rows_[x];
-  const std::size_t slot = partner_slot(row.partners, y);
-  return slot == static_cast<std::size_t>(-1) ? 0 : row.counts[slot];
+  return count_in_row(row.partners, row.counts, y);
 }
 
 std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
@@ -131,27 +132,22 @@ void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
 std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
   Row& row_x = rows_[x];
   Row& row_y = rows_[y];
-  const auto it_x = std::lower_bound(row_x.partners.begin(),
-                                     row_x.partners.end(), y);
-  std::uint32_t before = 0;
-  if (it_x == row_x.partners.end() || *it_x != y) {
-    const auto slot_x = static_cast<std::size_t>(it_x - row_x.partners.begin());
-    row_x.partners.insert(it_x, y);
+  const std::size_t slot_x =
+      lower_slot(row_x.partners.data(), row_x.partners.size(), y);
+  if (slot_x == row_x.partners.size() || row_x.partners[slot_x] != y) {
+    const std::size_t slot_y =
+        lower_slot(row_y.partners.data(), row_y.partners.size(), x);
+    row_x.partners.insert(row_x.partners.begin() + static_cast<long>(slot_x), y);
     row_x.counts.insert(row_x.counts.begin() + static_cast<long>(slot_x),
                         amount);
-    const auto it_y = std::lower_bound(row_y.partners.begin(),
-                                       row_y.partners.end(), x);
-    const auto slot_y = static_cast<std::size_t>(it_y - row_y.partners.begin());
-    row_y.partners.insert(it_y, x);
+    row_y.partners.insert(row_y.partners.begin() + static_cast<long>(slot_y), x);
     row_y.counts.insert(row_y.counts.begin() + static_cast<long>(slot_y),
                         amount);
-  } else {
-    const auto slot_x = static_cast<std::size_t>(it_x - row_x.partners.begin());
-    before = row_x.counts[slot_x];
-    row_x.counts[slot_x] = before + amount;
-    const std::size_t slot_y = partner_slot(row_y.partners, x);
-    row_y.counts[slot_y] = before + amount;
+    return 0;
   }
+  const std::uint32_t before = row_x.counts[slot_x];
+  row_x.counts[slot_x] = before + amount;
+  row_y.counts[partner_slot(row_y.partners, x)] = before + amount;
   return before;
 }
 
@@ -265,6 +261,11 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
 std::span<const NodeId> PairLedger::partners(NodeId x) const {
   require(x < node_count_, "PairLedger::partners: node out of range");
   return {rows_[x].partners.data(), rows_[x].partners.size()};
+}
+
+std::span<const std::uint32_t> PairLedger::partner_counts(NodeId x) const {
+  require(x < node_count_, "PairLedger::partner_counts: node out of range");
+  return {rows_[x].counts.data(), rows_[x].counts.size()};
 }
 
 std::uint32_t PairLedger::minimum_pair_count() const {

@@ -30,6 +30,7 @@
 //     a full rescan (sim::NetworkState::decide_swaps leans on this).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -84,6 +85,28 @@ class PairLedger {
 
   /// Nodes y with count(x, y) > 0, ascending.
   [[nodiscard]] std::span<const NodeId> partners(NodeId x) const;
+
+  /// Counts aligned with partners(x): partner_counts(x)[k] is
+  /// count(x, partners(x)[k]). Both spans stay valid until x's row is
+  /// next mutated.
+  [[nodiscard]] std::span<const std::uint32_t> partner_counts(NodeId x) const;
+
+  /// C_x(y) looked up in x's row, given as partners(x) and
+  /// partner_counts(x): 0 when y is absent. One branchless binary search,
+  /// no range checks — scans that read many counts off one row hoist the
+  /// two spans once and call this per lookup (inline: it is the §4 scan's
+  /// innermost operation).
+  [[nodiscard]] static std::uint32_t count_in_row(
+      std::span<const NodeId> partners, std::span<const std::uint32_t> counts,
+      NodeId y) {
+    const std::size_t size = partners.size();
+    if (size == 0) return 0;
+    // Clamp the past-the-end slot onto the last partner (which is then
+    // < y, so the equality test fails): the hit select stays branch-free.
+    const std::size_t slot =
+        std::min(lower_slot(partners.data(), size, y), size - 1);
+    return partners[slot] == y ? counts[slot] : 0;
+  }
 
   /// Number of partners of x (the length of partners(x)).
   [[nodiscard]] std::uint32_t degree(NodeId x) const;
@@ -188,6 +211,27 @@ class PairLedger {
     std::vector<NodeId> partners;
     std::vector<std::uint32_t> counts;
   };
+
+  /// Index of the first partner >= y in a sorted row of `size` ids (size
+  /// when every partner is smaller) — the ledger's one row search.
+  /// Branchless: the trip count depends only on `size`, and each step is
+  /// a compare feeding an add, so the data-dependent outcome never
+  /// reaches a branch predictor.
+  static std::size_t lower_slot(const NodeId* partners, std::size_t size,
+                                NodeId y) {
+    if (size == 0) return 0;
+    const NodeId* base = partners;
+    while (size > 1) {
+      const std::size_t half = size / 2;
+      base += static_cast<std::size_t>(base[half] < y) * half;
+      size -= half;
+    }
+    return static_cast<std::size_t>(base - partners) +
+           static_cast<std::size_t>(*base < y);
+  }
+  /// Index of y in a sorted partner list, or npos when absent.
+  static std::size_t partner_slot(const std::vector<NodeId>& partners,
+                                  NodeId y);
 
   void check(NodeId x, NodeId y) const;
   /// Count of (x, y) read from x's row (0 when absent).

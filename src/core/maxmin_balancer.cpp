@@ -55,9 +55,15 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
 std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
                                                        NodeId x,
                                                        Scratch& scratch) const {
-  return best_swap_with_view(
-      ledger, x, [&ledger](NodeId a, NodeId b) { return ledger.count(a, b); },
-      scratch);
+  // Ground truth reads C_a(b) from a's row, hoisted once per outer
+  // partner: the same value count(a, b) returns (the ledger is symmetric),
+  // without re-loading a's row header for every b.
+  return scan(ledger, x, scratch, [&ledger](NodeId a) {
+    return [partners = ledger.partners(a),
+            counts = ledger.partner_counts(a)](NodeId b) {
+      return PairLedger::count_in_row(partners, counts, b);
+    };
+  });
 }
 
 MaxMinBalancer::Execution MaxMinBalancer::execute_swap(PairLedger& ledger, NodeId x,

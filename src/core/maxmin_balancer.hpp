@@ -112,30 +112,9 @@ class MaxMinBalancer {
   template <typename View>
   [[nodiscard]] std::optional<SwapCandidate> best_swap_with_view(
       const PairLedger& ledger, NodeId x, View&& view, Scratch& scratch) const {
-    const auto partner_list = ledger.partners(x);
-    std::vector<Eligible>& eligible = scratch.eligible;
-    eligible.clear();
-    for (NodeId y : partner_list) {
-      const double cap =
-          static_cast<double>(ledger.count(x, y)) - distillation_.at(x, y);
-      if (cap >= 1.0) eligible.push_back(Eligible{y, cap});
-    }
-    std::optional<SwapCandidate> best;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
-        const NodeId a = eligible[i].node;
-        const NodeId b = eligible[j].node;
-        const double cap = std::min(eligible[i].capacity, eligible[j].capacity);
-        const std::uint32_t beneficiary = view(a, b);
-        if (static_cast<double>(beneficiary) + 1.0 > cap) continue;
-        if (!detour_allowed(x, a, b)) continue;
-        if (!best || beneficiary < best->beneficiary_count) {
-          best = SwapCandidate{a, b, beneficiary};
-          if (beneficiary == 0) return best;  // cannot improve further
-        }
-      }
-    }
-    return best;
+    return scan(ledger, x, scratch, [&view](NodeId a) {
+      return [&view, a](NodeId b) -> std::uint32_t { return view(a, b); };
+    });
   }
 
   /// Execute left <- x -> right on the ledger: consumes D_{x,right} pairs
@@ -153,6 +132,46 @@ class MaxMinBalancer {
 
  private:
   [[nodiscard]] bool detour_allowed(NodeId x, NodeId a, NodeId b) const;
+
+  /// The §4 candidate scan, shared by every knowledge model. x's eligible
+  /// partners come from one pass over x's ledger row; then every pair
+  /// (a, b) of them, a < b in ascending partner order, is tested with the
+  /// beneficiary count `row_of(a)(b)`. `row_of(a)` is called once per
+  /// outer partner, so a ground-truth view can hoist a's row out of the
+  /// inner loop. The first strictly smaller beneficiary wins; a zero one
+  /// cannot be beaten and ends the scan.
+  template <typename RowOf>
+  [[nodiscard]] std::optional<SwapCandidate> scan(const PairLedger& ledger,
+                                                  NodeId x, Scratch& scratch,
+                                                  RowOf&& row_of) const {
+    const auto partner_list = ledger.partners(x);
+    const auto own_counts = ledger.partner_counts(x);
+    std::vector<Eligible>& eligible = scratch.eligible;
+    eligible.clear();
+    for (std::size_t k = 0; k < partner_list.size(); ++k) {
+      const NodeId y = partner_list[k];
+      const double cap =
+          static_cast<double>(own_counts[k]) - distillation_.at(x, y);
+      if (cap >= 1.0) eligible.push_back(Eligible{y, cap});
+    }
+    std::optional<SwapCandidate> best;
+    for (std::size_t i = 0; i < eligible.size(); ++i) {
+      const NodeId a = eligible[i].node;
+      const auto beneficiary_of = row_of(a);
+      for (std::size_t j = i + 1; j < eligible.size(); ++j) {
+        const NodeId b = eligible[j].node;
+        const double cap = std::min(eligible[i].capacity, eligible[j].capacity);
+        const std::uint32_t beneficiary = beneficiary_of(b);
+        if (static_cast<double>(beneficiary) + 1.0 > cap) continue;
+        if (!detour_allowed(x, a, b)) continue;
+        if (!best || beneficiary < best->beneficiary_count) {
+          best = SwapCandidate{a, b, beneficiary};
+          if (beneficiary == 0) return best;  // cannot improve further
+        }
+      }
+    }
+    return best;
+  }
 
   DistillationMatrix distillation_;
   BalancerPolicy policy_;

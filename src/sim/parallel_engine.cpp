@@ -69,76 +69,77 @@ ParallelTickEngine::~ParallelTickEngine() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ParallelTickEngine::drain(const std::shared_ptr<Job>& job,
-                               unsigned worker) {
-  // Claim work indices off the job's counter until it drains — this
-  // atomic cursor IS the work-stealing: a worker that finishes a cheap
-  // chunk immediately claims the next canonical index, so a skewed range
-  // never serializes on one pre-assigned partition. A stale drain (a
-  // worker waking after the job completed) claims an exhausted index and
-  // returns without touching the callback, so the callback reference is
-  // never dereferenced after the dispatching call returns.
+void ParallelTickEngine::drain(std::uint32_t generation, unsigned worker) {
+  // Claim work indices off the cursor until the phase drains — this
+  // cursor IS the work-stealing: a worker that finishes a cheap chunk
+  // immediately claims the next canonical index, so a skewed range never
+  // serializes on one pre-assigned partition. A stale drain (a worker
+  // waking after its phase completed, possibly after the next one began)
+  // sees a foreign generation or an exhausted index and returns without
+  // touching the callback, so the callback reference is never
+  // dereferenced after the dispatching call returns. Its phase slot cannot
+  // be republished under it either: that takes two more dispatches, and
+  // the first already moved the cursor's generation on, so the claim
+  // would fail.
+  const Phase& phase = phases_[generation & 1];
+  std::uint64_t cursor = cursor_.load();
   while (true) {
-    const std::size_t index = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (index >= job->shards) return;
+    if (static_cast<std::uint32_t>(cursor >> 32) != generation) return;
+    const auto index = static_cast<std::uint32_t>(cursor);
+    if (index >= phase.count.load()) return;
+    if (!cursor_.compare_exchange_weak(cursor, cursor + 1)) {
+      continue;  // `cursor` now holds the fresh value
+    }
     std::exception_ptr failure;
     try {
-      (*job->fn)(index, worker);
+      (*phase.body)(index, worker);
     } catch (...) {
       failure = std::current_exception();
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      if (failure && !job->error) job->error = failure;
-      if (++job->completed == job->shards) done_cv_.notify_all();
+      if (failure && !error_) error_ = failure;
+      if (++completed_ == phase.count.load()) done_cv_.notify_all();
     }
+    cursor = cursor_.load();
   }
 }
 
 void ParallelTickEngine::worker_loop(unsigned worker) {
-  std::uint64_t seen_job = 0;
+  std::uint32_t seen = 0;
   while (true) {
-    std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return shutdown_ || job_id_ != seen_job; });
+      work_cv_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
       if (shutdown_) return;
-      seen_job = job_id_;
-      job = job_;
+      seen = generation_;
     }
-    if (job) drain(job, worker);
+    drain(seen, worker);
   }
 }
 
 void ParallelTickEngine::dispatch(
     std::size_t count, const std::function<void(std::size_t, unsigned)>& body) {
-  std::shared_ptr<Job> job;
-  if (spare_ && spare_.use_count() == 1) {
-    // No late-waking worker still holds the previous phase's Job, so its
-    // allocation can be reused — the steady state allocates nothing.
-    job = spare_;
-    job->error = nullptr;
-  } else {
-    job = std::make_shared<Job>();
-    spare_ = job;
-  }
-  job->fn = &body;
-  job->shards = count;
-  job->next.store(0, std::memory_order_relaxed);
-  job->completed = 0;
+  require(count <= UINT32_MAX, "ParallelTickEngine: too many work items");
+  std::uint32_t generation = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
-    ++job_id_;
+    generation = ++generation_;
+    Phase& phase = phases_[generation & 1];
+    phase.body = &body;
+    phase.count.store(static_cast<std::uint32_t>(count));
+    completed_ = 0;
+    // Publishing the cursor retires every earlier generation's claims.
+    cursor_.store(static_cast<std::uint64_t>(generation) << 32);
   }
   work_cv_.notify_all();
-  drain(job, /*worker=*/0);  // the caller is a pool member too
+  drain(generation, /*worker=*/0);  // the caller is a pool member too
   std::exception_ptr failure;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return job->completed == job->shards; });
-    if (job_ == job) job_.reset();
-    failure = job->error;
+    done_cv_.wait(lock, [&] { return completed_ == count; });
+    failure = error_;
+    error_ = nullptr;  // drop the engine's reference to a past failure
   }
   if (failure) std::rethrow_exception(failure);
 }

@@ -27,7 +27,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -214,22 +213,19 @@ class ParallelTickEngine {
                                            std::size_t items) const;
 
  private:
-  /// One run_shards/run_chunks call. Heap-allocated and shared so a
-  /// worker waking late for an already-finished phase operates on that
-  /// phase's own (exhausted) counter instead of racing the next phase's
-  /// state. `fn` takes (index, worker): run_shards and run_chunks adapt
-  /// their callbacks through the pre-built members below, so dispatching
-  /// a phase never constructs (or allocates) a std::function.
-  struct Job {
-    const std::function<void(std::size_t, unsigned)>* fn = nullptr;
-    std::size_t shards = 0;
-    std::atomic<std::size_t> next{0};
-    std::size_t completed = 0;  // guarded by mutex_
-    std::exception_ptr error;   // first failure, guarded by mutex_
+  /// One run_shards/run_chunks call's parameters. `body` takes (index,
+  /// worker): run_shards and run_chunks adapt their callbacks through the
+  /// pre-built members below, so dispatching a phase never constructs (or
+  /// allocates) a std::function. Two slots, selected by generation parity,
+  /// so a worker that woke for phase g and lags behind reads g's own count
+  /// while phase g+1 is being published into the other slot.
+  struct Phase {
+    const std::function<void(std::size_t, unsigned)>* body = nullptr;
+    std::atomic<std::uint32_t> count{0};
   };
 
   void worker_loop(unsigned worker);
-  void drain(const std::shared_ptr<Job>& job, unsigned worker);
+  void drain(std::uint32_t generation, unsigned worker);
   void dispatch(std::size_t count,
                 const std::function<void(std::size_t, unsigned)>& body);
   void run_one_chunk(std::size_t chunk, unsigned worker);
@@ -251,12 +247,19 @@ class ParallelTickEngine {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool shutdown_ = false;
-  std::uint64_t job_id_ = 0;     // bumps once per run_shards call
-  std::shared_ptr<Job> job_;     // current phase, guarded by mutex_
-  /// Recycled Job allocation: reused when no late-waking worker still
-  /// holds a reference (use_count == 1), so steady-state phases allocate
-  /// nothing. Only touched by the run_shards caller.
-  std::shared_ptr<Job> spare_;
+  /// Bumps once per dispatch; guarded by mutex_. Workers wake on a change
+  /// and tag their claims with the generation they woke for.
+  std::uint32_t generation_ = 0;
+  Phase phases_[2];
+  /// Claim cursor: generation (high 32 bits) | next unclaimed index (low
+  /// 32 bits). A claim is a compare-exchange on the whole word, so a
+  /// worker still holding an earlier generation can never take (or skip)
+  /// an index of the current phase: its claim simply fails. The engine
+  /// owns every phase's state outright — no shared ownership, nothing to
+  /// allocate, and no need to wait for workers that claimed nothing.
+  std::atomic<std::uint64_t> cursor_{0};
+  std::size_t completed_ = 0;  // indices finished this phase, guarded by mutex_
+  std::exception_ptr error_;   // first failure this phase, guarded by mutex_
 
   std::vector<std::thread> workers_;
 };

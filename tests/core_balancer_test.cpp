@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "core/ledger.hpp"
 #include "graph/shortest_path.hpp"
@@ -256,6 +259,211 @@ TEST(SweepStats, AccountsConservation) {
   EXPECT_EQ(ledger.total_pairs(),
             before - stats.pairs_consumed + stats.pairs_produced);
   EXPECT_EQ(stats.pairs_produced, stats.swaps);
+}
+
+// --- independent reference for the §4 scan ----------------------------
+
+using Distances = std::vector<std::vector<std::uint32_t>>;
+
+/// §4's best-swap rule written straight from the paper, with none of the
+/// scan's shortcuts: over every unordered pair {y', y} of nodes other than
+/// x, in lexicographic (left < right) order, the swap y' <- x -> y is
+/// preferable iff C_y(y') + 1 <= min(C_x(y) - D_xy, C_x(y') - D_xy') (and
+/// the §6 detour bound holds, when one is set). x picks a preferable swap
+/// with minimal C_y(y'); among equals, the lexicographically first.
+std::optional<SwapCandidate> reference_best_swap(
+    const PairLedger& ledger, const DistillationMatrix& distillation, NodeId x,
+    const Distances* distances, std::optional<std::uint32_t> detour_slack) {
+  const auto n = static_cast<NodeId>(ledger.node_count());
+  const auto capacity = [&](NodeId y) {
+    return static_cast<double>(ledger.count(x, y)) - distillation.at(x, y);
+  };
+  std::optional<SwapCandidate> best;
+  for (NodeId left = 0; left < n; ++left) {
+    if (left == x || capacity(left) < 1.0) continue;  // cannot donate
+    for (NodeId right = static_cast<NodeId>(left + 1); right < n; ++right) {
+      if (right == x) continue;
+      const std::uint32_t beneficiary = ledger.count(left, right);
+      if (static_cast<double>(beneficiary) + 1.0 >
+          std::min(capacity(left), capacity(right))) {
+        continue;
+      }
+      if (detour_slack) {
+        const auto& d = *distances;
+        if (static_cast<std::uint64_t>(d[left][x]) + d[x][right] >
+            static_cast<std::uint64_t>(d[left][right]) + *detour_slack) {
+          continue;
+        }
+      }
+      if (!best || beneficiary < best->beneficiary_count) {
+        best = SwapCandidate{left, right, beneficiary};
+      }
+    }
+  }
+  return best;
+}
+
+/// Random counts: every pair among `hubs` is live with probability
+/// `density` (the dense core where beneficiary counts are nonzero), plus
+/// `stray` random pairs anywhere. Counts are uniform in [1, max_count].
+void fill_random(PairLedger& ledger, const std::vector<NodeId>& hubs,
+                 double density, std::size_t stray, std::uint32_t max_count,
+                 util::Rng& rng) {
+  const std::size_t n = ledger.node_count();
+  const auto draw = [&] {
+    return 1 + static_cast<std::uint32_t>(rng.uniform_index(max_count));
+  };
+  for (std::size_t i = 0; i < hubs.size(); ++i) {
+    for (std::size_t j = i + 1; j < hubs.size(); ++j) {
+      if (rng.bernoulli(density)) ledger.add(hubs[i], hubs[j], draw());
+    }
+  }
+  for (std::size_t k = 0; k < stray; ++k) {
+    const auto a = static_cast<NodeId>(rng.uniform_index(n));
+    const auto b = static_cast<NodeId>(rng.uniform_index(n));
+    if (a != b) ledger.add(a, b, draw());
+  }
+}
+
+/// best_swap and best_swap_with_view (reading ground truth through
+/// ledger.count) both equal the reference at every node in `nodes`.
+void expect_matches_reference(const PairLedger& ledger,
+                              const DistillationMatrix& distillation,
+                              const std::vector<NodeId>& nodes,
+                              const Distances* distances = nullptr,
+                              std::optional<std::uint32_t> detour_slack = {}) {
+  BalancerPolicy policy;
+  policy.detour_slack = detour_slack;
+  const MaxMinBalancer balancer(distillation, policy, distances);
+  MaxMinBalancer::Scratch scratch;
+  scratch.reserve(ledger.node_count());
+  std::size_t found = 0;
+  for (const NodeId x : nodes) {
+    const auto expected =
+        reference_best_swap(ledger, distillation, x, distances, detour_slack);
+    const auto actual = balancer.best_swap(ledger, x, scratch);
+    const auto viewed = balancer.best_swap_with_view(
+        ledger, x, [&](NodeId a, NodeId b) { return ledger.count(a, b); },
+        scratch);
+    ASSERT_EQ(actual.has_value(), expected.has_value()) << "node " << x;
+    ASSERT_EQ(viewed.has_value(), expected.has_value()) << "node " << x;
+    if (!expected) continue;
+    ++found;
+    EXPECT_EQ(actual->left, expected->left) << "node " << x;
+    EXPECT_EQ(actual->right, expected->right) << "node " << x;
+    EXPECT_EQ(actual->beneficiary_count, expected->beneficiary_count)
+        << "node " << x;
+    EXPECT_EQ(viewed->left, expected->left) << "node " << x;
+    EXPECT_EQ(viewed->right, expected->right) << "node " << x;
+    EXPECT_EQ(viewed->beneficiary_count, expected->beneficiary_count)
+        << "node " << x;
+  }
+  // The fixture must exercise the scan, not just agree on "no swap".
+  if (nodes.size() >= 8) {
+    EXPECT_GT(found, 0u);
+  }
+}
+
+std::vector<NodeId> all_nodes(std::size_t n) {
+  std::vector<NodeId> nodes(n);
+  for (NodeId x = 0; x < n; ++x) nodes[x] = x;
+  return nodes;
+}
+
+TEST(BestSwapReference, UniformDistillationMatchesPaperRule) {
+  constexpr std::size_t kNodes = 40;
+  util::Rng rng(4101);
+  const Distances distances =
+      graph::all_pairs_distances(graph::make_cycle(kNodes));
+  for (const double d : {0.0, 0.5, 1.0, 2.0}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Alternate a sparse core (many zero beneficiaries, early exits) and
+      // a dense one with large counts (the minimum must be tracked).
+      const bool dense = trial % 2 == 1;
+      PairLedger ledger(kNodes);
+      fill_random(ledger, all_nodes(kNodes), dense ? 0.9 : 0.3, 20,
+                  dense ? 12u : 5u, rng);
+      SCOPED_TRACE(::testing::Message() << "D=" << d << " trial " << trial);
+      expect_matches_reference(ledger, DistillationMatrix(d),
+                               all_nodes(kNodes));
+      expect_matches_reference(ledger, DistillationMatrix(d),
+                               all_nodes(kNodes), &distances, 0u);
+      expect_matches_reference(ledger, DistillationMatrix(d),
+                               all_nodes(kNodes), &distances, 3u);
+    }
+  }
+}
+
+TEST(BestSwapReference, PerPairDistillationMatchesPaperRule) {
+  constexpr std::size_t kNodes = 30;
+  util::Rng rng(4202);
+  const Distances distances =
+      graph::all_pairs_distances(graph::make_cycle(kNodes));
+  for (int trial = 0; trial < 16; ++trial) {
+    DistillationMatrix distillation(kNodes, 1.0);
+    for (NodeId x = 0; x < kNodes; ++x) {
+      for (NodeId y = x + 1; y < kNodes; ++y) {
+        // Fractional overheads in [0, 3): half on exact quarter steps, so
+        // the preferability bound is often met with equality.
+        distillation.set(
+            x, y,
+            rng.bernoulli(0.5)
+                ? 0.25 * static_cast<double>(rng.uniform_index(12))
+                : rng.uniform_double(0.0, 3.0));
+      }
+    }
+    PairLedger ledger(kNodes);
+    fill_random(ledger, all_nodes(kNodes), 0.7, 10, 9, rng);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    expect_matches_reference(ledger, distillation, all_nodes(kNodes));
+    expect_matches_reference(ledger, distillation, all_nodes(kNodes),
+                             &distances, 1u);
+  }
+}
+
+TEST(BestSwapReference, EmptyAndSinglePartnerRows) {
+  PairLedger ledger(6);
+  ledger.add(1, 2, 5);  // node 1 and 2: one partner each
+  ledger.add(3, 4, 2);
+  ledger.add(3, 5, 2);  // node 3: two partners, beneficiary (4,5) = 0
+  // Node 0 has an empty row; 1, 2, 4, 5 have one partner, so no pair.
+  for (const double d : {0.0, 0.5, 1.0, 2.0}) {
+    SCOPED_TRACE(::testing::Message() << "D=" << d);
+    expect_matches_reference(ledger, DistillationMatrix(d), all_nodes(6));
+  }
+  const MaxMinBalancer balancer = unit_balancer();
+  EXPECT_FALSE(balancer.best_swap(ledger, 0).has_value());
+  EXPECT_FALSE(balancer.best_swap(ledger, 1).has_value());
+  ASSERT_TRUE(balancer.best_swap(ledger, 3).has_value());
+}
+
+TEST(BestSwapReference, SparseRowsAboveFullReserveLimit) {
+  // Above kFullReserveNodeLimit rows grow amortized instead of
+  // pre-reserving; the scan must read them identically. A dense core of
+  // hubs spread over the id range plus stray pairs everywhere.
+  constexpr std::size_t kNodes = 1100;
+  static_assert(kNodes > PairLedger::kFullReserveNodeLimit);
+  util::Rng rng(4303);
+  std::vector<NodeId> hubs;
+  for (int k = 0; k < 48; ++k) {
+    hubs.push_back(static_cast<NodeId>(rng.uniform_index(kNodes)));
+  }
+  std::sort(hubs.begin(), hubs.end());
+  hubs.erase(std::unique(hubs.begin(), hubs.end()), hubs.end());
+  const Distances distances =
+      graph::all_pairs_distances(graph::make_cycle(kNodes));
+  for (const double d : {0.0, 1.0, 2.0}) {
+    PairLedger ledger(kNodes);
+    fill_random(ledger, hubs, 0.6, 3000, 8, rng);
+    std::vector<NodeId> nodes = hubs;
+    for (int k = 0; k < 8; ++k) {
+      nodes.push_back(static_cast<NodeId>(rng.uniform_index(kNodes)));
+    }
+    SCOPED_TRACE(::testing::Message() << "D=" << d);
+    expect_matches_reference(ledger, DistillationMatrix(d), nodes);
+    expect_matches_reference(ledger, DistillationMatrix(d), nodes, &distances,
+                             200u);
+  }
 }
 
 }  // namespace

@@ -349,6 +349,67 @@ TEST(PairLedger, AddEdgesMatchesScalarAddLoop) {
   }
 }
 
+/// partner_counts(x) is index-aligned with partners(x), every entry is
+/// live (> 0) and equals count(), and count_in_row over the two spans
+/// answers every y exactly like count(x, y).
+void expect_rows_aligned(const PairLedger& ledger) {
+  const auto n = static_cast<NodeId>(ledger.node_count());
+  for (NodeId x = 0; x < n; ++x) {
+    const auto partners = ledger.partners(x);
+    const auto counts = ledger.partner_counts(x);
+    ASSERT_EQ(partners.size(), counts.size()) << "row " << x;
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      EXPECT_GT(counts[k], 0u) << "row " << x;
+      EXPECT_EQ(counts[k], ledger.count(x, partners[k])) << "row " << x;
+    }
+    for (NodeId y = 0; y < n; ++y) {
+      const std::uint32_t expected = y == x ? 0 : ledger.count(x, y);
+      EXPECT_EQ(PairLedger::count_in_row(partners, counts, y), expected)
+          << "row " << x << " lookup " << y;
+    }
+  }
+}
+
+TEST(PairLedger, PartnerCountsStayAlignedWithPartners) {
+  constexpr std::size_t kNodes = 12;
+  PairLedger ledger(kNodes);
+  expect_rows_aligned(ledger);  // all rows empty
+  util::Rng rng(777);
+  for (int step = 0; step < 400; ++step) {
+    const auto x = static_cast<NodeId>(rng.uniform_index(kNodes));
+    auto y = static_cast<NodeId>(rng.uniform_index(kNodes));
+    if (y == x) y = static_cast<NodeId>((y + 1) % kNodes);
+    const std::uint32_t held = ledger.count(x, y);
+    if (held > 0 && rng.bernoulli(0.5)) {
+      // Half the removals take the pair to zero, erasing both row slots.
+      ledger.remove(x, y, rng.bernoulli(0.5) ? held : 1);
+    } else {
+      ledger.add(x, y, 1 + static_cast<std::uint32_t>(rng.uniform_index(3)));
+    }
+    expect_rows_aligned(ledger);
+  }
+  // All three batched merges insert and bump through the same rows.
+  std::vector<graph::Edge> edges;
+  for (NodeId x = 0; x < kNodes; ++x) {
+    for (NodeId y = static_cast<NodeId>(x + 1); y < kNodes; ++y) {
+      if (rng.bernoulli(0.3)) edges.push_back({y, x});
+    }
+  }
+  std::vector<std::uint32_t> amounts(edges.size());
+  std::vector<std::uint8_t> extra(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    amounts[i] = static_cast<std::uint32_t>(rng.uniform_index(3));
+    extra[i] = static_cast<std::uint8_t>(rng.uniform_index(2));
+  }
+  ledger.add_edges(edges, 2);
+  expect_rows_aligned(ledger);
+  ledger.add_edges(edges, std::span<const std::uint32_t>(amounts));
+  expect_rows_aligned(ledger);
+  ledger.add_edges(edges, 0, std::span<const std::uint8_t>(extra));
+  expect_rows_aligned(ledger);
+  EXPECT_THROW((void)ledger.partner_counts(kNodes), PreconditionError);
+}
+
 TEST(PairLedger, AddEdgesValidatesLikeScalarAdd) {
   PairLedger ledger(4);
   const std::vector<graph::Edge> self_loop{{2, 2}};

@@ -15,9 +15,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/balancing_sim.hpp"
@@ -26,6 +28,7 @@
 #include "graph/topology.hpp"
 #include "scenario/protocol.hpp"
 #include "sim/network_state.hpp"
+#include "sim/parallel_engine.hpp"
 #include "util/rng.hpp"
 
 // --- allocation counter -----------------------------------------------
@@ -257,6 +260,58 @@ TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
           << "threads=" << threads << " shards=" << shards;
     }
   }
+}
+
+TEST(HotPathAllocations, DispatchWithLaggingWorkerAllocatesNothing) {
+  // Dispatch stress: the pool worker is held back at the end of every
+  // phase, so it is still leaving phase g (about to make its next claim)
+  // while the caller publishes phase g+1. Each phase has two chunks: the
+  // caller's chunk waits until the worker has claimed the other one, and
+  // the worker then holds its chunk a little longer, so it finishes last
+  // every time. The engine must neither allocate for the next phase nor
+  // let the lagging worker run (or swallow) one of its indices. Under
+  // TSan only the exactly-once half is asserted (its runtime allocates).
+  sim::ParallelTickEngine engine(2);
+  std::atomic<std::uint32_t> runs[2] = {0, 0};
+  std::atomic<bool> worker_claimed{false};
+  const sim::ParallelTickEngine::ChunkFn chunk_fn =
+      [&](std::size_t begin, std::size_t, unsigned worker) {
+        runs[begin].fetch_add(1, std::memory_order_relaxed);
+        if (worker == 0) {
+          while (!worker_claimed.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        } else {
+          worker_claimed.store(true, std::memory_order_release);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+      };
+  engine.run_chunks(2, 1, nullptr, chunk_fn);  // warm-up
+  constexpr int kPhases = 2000;
+  int bad_phases = 0;
+  const std::uint64_t before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  for (int phase = 0; phase < kPhases; ++phase) {
+    runs[0].store(0, std::memory_order_relaxed);
+    runs[1].store(0, std::memory_order_relaxed);
+    worker_claimed.store(false, std::memory_order_relaxed);
+    engine.run_chunks(2, 1, nullptr, chunk_fn);
+    if (runs[0].load(std::memory_order_relaxed) != 1 ||
+        runs[1].load(std::memory_order_relaxed) != 1) {
+      ++bad_phases;
+    }
+  }
+  const std::uint64_t after =
+      g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(bad_phases, 0) << "phases whose two chunks did not run exactly once";
+#ifndef POQ_UNDER_TSAN
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in " << kPhases
+      << " dispatches with a lagging worker";
+#else
+  (void)before;
+  (void)after;
+#endif
 }
 
 // --- O(#candidates) commit --------------------------------------------
