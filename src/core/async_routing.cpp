@@ -42,11 +42,8 @@ class Driver {
         ledger_(n_),
         waiting_(n_),
         blocked_(n_, 0),
-        pool_(config.tick.mode == sim::TickMode::kSharded
-                  ? std::make_unique<sim::ParallelTickEngine>(config.tick.threads)
-                  : nullptr),
-        vp_(n_, pool_.get(),
-            pool_ ? pool_->resolve_shards(config.tick.shards, n_) : 1) {
+        pool_(std::make_unique<sim::ParallelTickEngine>(config.tick.threads)),
+        vp_(n_, pool_.get(), pool_->resolve_shards(config.tick.shards, n_)) {
     timeout_epochs_ = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(config.timeout / config.dt)));
     if (config.faults.enabled()) {

@@ -50,7 +50,7 @@ struct AsyncRoutingConfig {
   double duration = 400.0;
   std::uint64_t seed = 1;
   /// Intra-run engine knobs (vertex-program substrate; results are
-  /// bit-identical for every mode/threads/shards/decide setting).
+  /// bit-identical for every threads/shards/decide setting).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan (one fault round per epoch). A crash destroys

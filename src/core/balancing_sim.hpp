@@ -12,12 +12,12 @@
 // cost and l(c) the generation-graph shortest-path hop count; the
 // denominator under the exact nested cost is also tracked.
 //
-// Two tick engines drive the round (config.tick.mode): the legacy
-// sequential loop, and the sharded deterministic engine
-// (sim::ParallelTickEngine) whose generation/swap phases fan across a
-// worker pool with counter-based per-entity RNG streams — results are
-// bit-identical for every threads/shards setting (see
-// docs/ARCHITECTURE.md for the determinism contract).
+// One tick engine drives the round: the sharded deterministic engine
+// (sim::ParallelTickEngine), whose generation/swap phases fan across a
+// worker pool with counter-based per-entity RNG streams. Results are
+// bit-identical for every threads/shards setting, and threads=1 runs the
+// same phases inline (see docs/ARCHITECTURE.md for the determinism
+// contract).
 #pragma once
 
 #include <cstdint>
@@ -52,8 +52,7 @@ struct BalancingConfig {
   std::uint64_t seed = 1;
   /// §6 policy knobs (distance-penalized swapping).
   BalancerPolicy policy;
-  /// Intra-run engine selection (sequential legacy loop vs the sharded
-  /// deterministic engine) plus its threads/shards knobs.
+  /// Intra-run threads/shards/decide knobs (never change results).
   sim::TickConcurrency tick;
 
   // --- streaming workload (0 = fixed-sequence mode) --------------------
@@ -113,8 +112,7 @@ struct BalancingResult {
   /// request — how fast delivery recovers once the churn pauses.
   util::RunningStats time_to_recover;
   /// Cumulative wall-clock per phase kernel (observability only — outside
-  /// the determinism contract). The sequential engine's fused swap sweep
-  /// is attributed to the decide phase.
+  /// the determinism contract).
   sim::PhaseTimers phase;
 
   [[nodiscard]] double swap_overhead_paper() const {
@@ -136,7 +134,7 @@ class BalancingSimulation {
   BalancingSimulation(const graph::Graph& generation_graph, const Workload& workload,
                       const BalancingConfig& config);
 
-  /// One full round: generate, swap sweep, consume.
+  /// One full round: generate, swap (decide + commit), consume.
   void step_round();
 
   /// Run rounds until every request is satisfied or max_rounds is hit.
@@ -209,9 +207,6 @@ class BalancingSimulation {
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
  private:
-  // --- sharded-engine swap phase (sim::TickMode::kSharded): decide +
-  // two-level commit kernels on the NetworkState ---
-  void sharded_swap_phase();
   /// Streaming mode: enqueue this round's Poisson arrivals.
   void arrival_phase();
 
@@ -221,8 +216,6 @@ class BalancingSimulation {
   graph::DistanceOracle oracle_;
   sim::NetworkState state_;
   MaxMinBalancer balancer_;
-  util::Rng generation_rng_;
-  util::Rng swap_rng_;
   util::Rng consume_rng_;
   BalancingResult result_;
   std::size_t head_ = 0;          // index of the head-of-line request

@@ -197,11 +197,8 @@ class Driver {
         candidates_(n_),
         scanned_(n_, 0),
         serial_dirty_(n_, kNeverDirty),
-        pool_(config.tick.mode == sim::TickMode::kSharded
-                  ? std::make_unique<sim::ParallelTickEngine>(config.tick.threads)
-                  : nullptr),
-        vp_(n_, pool_.get(),
-            pool_ ? pool_->resolve_shards(config.tick.shards, n_) : 1),
+        pool_(std::make_unique<sim::ParallelTickEngine>(config.tick.threads)),
+        vp_(n_, pool_.get(), pool_->resolve_shards(config.tick.shards, n_)),
         shard_stats_(vp_.shard_count()),
         deferred_consume_(vp_.shard_count()) {
     if (config.faults.enabled()) {

@@ -12,16 +12,13 @@
 // remaining coherence times with those that have longer times" — is a
 // policy knob.
 //
-// Two engines drive it (config.tick.mode). The sequential path runs on
-// the deterministic event engine (sim::Engine): Poisson pair generation
-// per edge, Poisson swap/distill scans per node, head-of-line
-// consumption. The sharded path re-expresses the same physics as phase
-// kernels over sim::NetworkState in fixed time slices: per-node event
-// sharding draws each entity's Poisson event times from counter-based
-// keyed streams, decisions are computed against the slice snapshot in
-// parallel, and commits execute in canonical (timestamp, node id) order
-// — so results are bit-identical for every threads/shards setting (they
-// differ from the sequential event-interleaved discipline).
+// The physics — Poisson pair generation per edge, Poisson swap/distill
+// scans per node, head-of-line consumption — runs as phase kernels over
+// sim::NetworkState in fixed time slices: per-node event sharding draws
+// each entity's Poisson event times from counter-based keyed streams,
+// decisions are computed against the slice snapshot in parallel, and
+// commits execute in canonical (timestamp, node id) order — so results
+// are bit-identical for every threads/shards setting.
 #pragma once
 
 #include <cstdint>
@@ -62,14 +59,11 @@ struct FidelitySimConfig {
   /// Simulated duration.
   double duration = 500.0;
   std::uint64_t seed = 1;
-  /// Intra-run engine selection (sequential event loop vs the sharded
-  /// slice-kernel engine) plus its threads/shards knobs.
+  /// Intra-run threads/shards/decide knobs (never change results).
   sim::TickConcurrency tick;
 
   /// Fault-injection plan. A fault "round" here is one slice of width
-  /// 0.25/scan_rate — the sharded engine advances the plan at every slice
-  /// boundary and the sequential engine on a timer of the same period, so
-  /// MTBF/MTTR knobs mean the same timescale under both engines. A crash
+  /// 0.25/scan_rate: the plan advances at every slice boundary. A crash
   /// destroys the node's stored tracked pairs (counted as purged, not
   /// decayed) and halts generation and scans at that node; a downed link
   /// halts generation only. Disabled by default (bit-identical historical
@@ -116,9 +110,8 @@ struct FidelitySimResult {
   /// satisfied request.
   util::RunningStats time_to_recover;
 
-  /// Cumulative wall-clock per slice kernel (sharded engine only; the
-  /// sequential event loop is fused and leaves these at zero).
-  /// Observability only — outside the determinism contract.
+  /// Cumulative wall-clock per slice kernel. Observability only —
+  /// outside the determinism contract.
   sim::PhaseTimers phase;
 };
 

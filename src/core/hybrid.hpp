@@ -10,10 +10,9 @@
 // consuming existing counts, not generation edges. This mitigates the
 // starvation the paper observed on long paths.
 //
-// The balancing rounds inherit config.base.tick, so the hybrid driver
-// runs on the sharded deterministic engine whenever its base does; the
-// assist step itself is sequential (it routes over the live ledger
-// between the swap and consumption phases).
+// The balancing rounds inherit config.base.tick and run on the sharded
+// deterministic engine; the assist step itself is serial (it routes over
+// the live ledger between the swap and consumption phases).
 #pragma once
 
 #include <cstdint>

@@ -179,18 +179,4 @@ class MaxMinBalancer {
   mutable Scratch scratch_;  // single-threaded convenience path only
 };
 
-/// Outcome of one network-wide swap sweep.
-struct SweepStats {
-  std::uint64_t swaps = 0;
-  std::uint64_t pairs_consumed = 0;  // donor pairs destroyed (distillation included)
-  std::uint64_t pairs_produced = 0;  // one per swap
-};
-
-/// Round-robin sweep: give every node (starting at `first_node`) up to
-/// `swaps_per_node` best-swap executions. This is the paper's "all nodes
-/// perform the swapping process at an identical rate" step.
-SweepStats run_swap_sweep(const MaxMinBalancer& balancer, PairLedger& ledger,
-                          NodeId first_node, std::uint32_t swaps_per_node,
-                          util::Rng& rng);
-
 }  // namespace poq::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "core/nested.hpp"
@@ -71,8 +70,6 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   require(config.distillation >= 0.0, "PlannedPathConfig: D must be >= 0");
 
   PlannedPathResult result;
-  util::Rng rng(config.seed);
-  util::Rng generation_rng = rng.fork(1);
 
   std::optional<sim::FaultPlan> fault_plan;
   if (config.faults.enabled()) {
@@ -83,16 +80,10 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
   bool awaiting_recovery = false;
   std::uint32_t episode_end_round = 0;
 
-  const bool sharded = config.tick.mode == sim::TickMode::kSharded;
-  std::unique_ptr<sim::ParallelTickEngine> pool;
-  std::size_t shard_count = 1;
-  std::vector<std::uint64_t> shard_generated;
-  if (sharded) {
-    pool = std::make_unique<sim::ParallelTickEngine>(config.tick.threads);
-    shard_count =
-        pool->resolve_shards(config.tick.shards, generation_graph.edge_count());
-    shard_generated.assign(shard_count, 0);
-  }
+  sim::ParallelTickEngine pool(config.tick.threads);
+  const std::size_t shard_count =
+      pool.resolve_shards(config.tick.shards, generation_graph.edge_count());
+  std::vector<std::uint64_t> shard_generated(shard_count, 0);
 
   std::vector<double> buffer(generation_graph.edge_count(), 0.0);
   std::vector<bool> reserved(generation_graph.edge_count(), false);
@@ -194,40 +185,30 @@ PlannedPathResult run_planned_path(const graph::Graph& generation_graph,
                         (fault_plan ? fault_plan->rate_factor() : 1.0);
     const double whole = std::floor(rate);
     const double frac = rate - whole;
-    if (sharded) {
-      // Per-(round, edge) streams + disjoint buffer slices per shard; the
-      // per-shard totals merge in shard order, so any threads/shards
-      // setting produces the same result bit for bit. Masked edges skip
-      // their draw — each edge's stream is keyed, so no other stream
-      // shifts.
-      pool->run_shards(shard_count, [&](std::size_t shard) {
-        const auto [begin, end] = sim::ParallelTickEngine::shard_range(
-            buffer.size(), shard_count, shard);
-        std::uint64_t generated = 0;
-        for (std::size_t e = begin; e < end; ++e) {
-          if (masked && !fault_plan->edge_up(e)) continue;
-          double amount = whole;
-          if (frac > 0.0) {
-            util::Rng edge_rng = util::Rng::keyed(
-                config.seed, sim::stream_tag::kGeneration, result.rounds, e);
-            if (edge_rng.bernoulli(frac)) amount += 1.0;
-          }
-          buffer[e] += amount;
-          generated += static_cast<std::uint64_t>(amount);
-        }
-        shard_generated[shard] = generated;
-      });
-      for (std::size_t shard = 0; shard < shard_count; ++shard) {
-        result.pairs_generated += shard_generated[shard];
-      }
-    } else {
-      for (std::size_t e = 0; e < buffer.size(); ++e) {
+    // Per-(round, edge) streams + disjoint buffer slices per shard; the
+    // per-shard totals merge in shard order, so any threads/shards
+    // setting produces the same result bit for bit. Masked edges skip
+    // their draw — each edge's stream is keyed, so no other stream
+    // shifts.
+    pool.run_shards(shard_count, [&](std::size_t shard) {
+      const auto [begin, end] = sim::ParallelTickEngine::shard_range(
+          buffer.size(), shard_count, shard);
+      std::uint64_t generated = 0;
+      for (std::size_t e = begin; e < end; ++e) {
         if (masked && !fault_plan->edge_up(e)) continue;
         double amount = whole;
-        if (frac > 0.0 && generation_rng.bernoulli(frac)) amount += 1.0;
+        if (frac > 0.0) {
+          util::Rng edge_rng = util::Rng::keyed(
+              config.seed, sim::stream_tag::kGeneration, result.rounds, e);
+          if (edge_rng.bernoulli(frac)) amount += 1.0;
+        }
         buffer[e] += amount;
-        result.pairs_generated += static_cast<std::uint64_t>(amount);
+        generated += static_cast<std::uint64_t>(amount);
       }
+      shard_generated[shard] = generated;
+    });
+    for (std::size_t shard = 0; shard < shard_count; ++shard) {
+      result.pairs_generated += shard_generated[shard];
     }
 
     // 2. Admission, strictly in sequence order.

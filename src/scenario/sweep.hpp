@@ -127,8 +127,8 @@ class SweepRunner {
 };
 
 /// Set the intra-run `threads` knob on every grid spec whose protocol
-/// declares it (the ported protocols: balancing, planned, hybrid); specs
-/// of sequential-only protocols are left untouched. Callers pair this
+/// declares it (every protocol on the tick engine); specs of engine-less
+/// protocols (lp) are left untouched. Callers pair this
 /// with SweepOptions::intra_run_threads so pool x intra-run threads stays
 /// within the hardware budget.
 void apply_intra_run_threads(std::vector<ScenarioSpec>& grid, unsigned threads);

@@ -27,70 +27,61 @@ NetworkState::NetworkState(const graph::Graph& generation_graph,
       seed_(seed),
       tick_(tick),
       ledger_(generation_graph.node_count()),
+      pool_(std::make_unique<ParallelTickEngine>(tick.threads)),
+      shard_count_(pool_->resolve_shards(tick.shards,
+                                         generation_graph.node_count())),
       decay_(decay) {
-  if (tick_.mode == TickMode::kSharded) {
-    const std::size_t n = graph_.node_count();
-    pool_ = std::make_unique<ParallelTickEngine>(tick_.threads);
-    shard_count_ = pool_->resolve_shards(tick_.shards, n);
-    // Decide scratch is per pool worker (chunks of the frontier are
-    // claimed dynamically; any worker may run any chunk, and scratch
-    // never leaks into results).
-    worker_scratch_.resize(pool_->thread_count());
-    // Pre-size every per-round scratch once: the steady-state round
-    // allocates nothing (asserted by the hot-path allocation test). The
-    // eligible list is bounded by a node's partner degree, so megascale
-    // networks cap the reserve at the full-reserve limit — on sparse
-    // topologies degrees never approach it, and a denser node just grows
-    // its worker's scratch once, amortized.
-    const std::size_t scratch_nodes =
-        std::min(n, core::PairLedger::kFullReserveNodeLimit + 1);
-    for (core::MaxMinBalancer::Scratch& scratch : worker_scratch_) {
-      scratch.reserve(scratch_nodes);
-    }
-    generation_flags_.assign(graph_.edge_count(), 0);
-    // Chunk grains for the dynamically scheduled kernels. Fixed ranges
-    // (edges, all nodes) resolve once here; the decide grain resolves per
-    // call against the live frontier size. Grain is a pure performance
-    // knob — chunk boundaries are canonical, results never move.
-    generate_grain_ = ParallelTickEngine::resolve_grain(
-        tick_.shards, graph_.edge_count(), kGenerateGrain);
-    decohere_grain_ =
-        ParallelTickEngine::resolve_grain(tick_.shards, n, kDecohereGrain);
-    candidates_.assign(n, std::nullopt);
-    committed_.assign(n, 0);
-    executions_.resize(n);
-    uf_parent_.resize(n);
-    uf_version_.assign(n, 0);
-    group_of_root_.assign(n, -1);
-    touched_roots_.reserve(n);
-    group_start_.assign(n + 1, 0);
-    group_fill_.assign(n, 0);
-    group_members_.assign(n, 0);
-    dirty_nodes_.reserve(n);
-    candidate_nodes_.reserve(n);
-    candidate_scratch_.reserve(n);
-    // The incremental decide consumes the ledger's dirty frontier; every
-    // node starts dirty so the first decide computes the full table.
-    // Full-rescan mode leaves tracking off entirely — it re-decides every
-    // node anyway, so it should not pay the per-mutation marking either.
-    if (tick_.incremental_decide) ledger_.enable_dirty_tracking();
+  const std::size_t n = graph_.node_count();
+  // Decide scratch is per pool worker (chunks of the frontier are
+  // claimed dynamically; any worker may run any chunk, and scratch
+  // never leaks into results).
+  worker_scratch_.resize(pool_->thread_count());
+  // Pre-size every per-round scratch once: the steady-state round
+  // allocates nothing (asserted by the hot-path allocation test). The
+  // eligible list is bounded by a node's partner degree, so megascale
+  // networks cap the reserve at the full-reserve limit — on sparse
+  // topologies degrees never approach it, and a denser node just grows
+  // its worker's scratch once, amortized.
+  const std::size_t scratch_nodes =
+      std::min(n, core::PairLedger::kFullReserveNodeLimit + 1);
+  for (core::MaxMinBalancer::Scratch& scratch : worker_scratch_) {
+    scratch.reserve(scratch_nodes);
   }
+  generation_flags_.assign(graph_.edge_count(), 0);
+  // Chunk grains for the dynamically scheduled kernels. Fixed ranges
+  // (edges, all nodes) resolve once here; the decide grain resolves per
+  // call against the live frontier size. Grain is a pure performance
+  // knob — chunk boundaries are canonical, results never move.
+  generate_grain_ = ParallelTickEngine::resolve_grain(
+      tick_.shards, graph_.edge_count(), kGenerateGrain);
+  decohere_grain_ =
+      ParallelTickEngine::resolve_grain(tick_.shards, n, kDecohereGrain);
+  candidates_.assign(n, std::nullopt);
+  committed_.assign(n, 0);
+  executions_.resize(n);
+  uf_parent_.resize(n);
+  uf_version_.assign(n, 0);
+  group_of_root_.assign(n, -1);
+  touched_roots_.reserve(n);
+  group_start_.assign(n + 1, 0);
+  group_fill_.assign(n, 0);
+  group_members_.assign(n, 0);
+  dirty_nodes_.reserve(n);
+  candidate_nodes_.reserve(n);
+  candidate_scratch_.reserve(n);
+  // The incremental decide consumes the ledger's dirty frontier; every
+  // node starts dirty so the first decide computes the full table.
+  // Full-rescan mode leaves tracking off entirely — it re-decides every
+  // node anyway, so it should not pay the per-mutation marking either.
+  if (tick_.incremental_decide) ledger_.enable_dirty_tracking();
   if (decay_) {
     pair_store_.emplace(graph_.node_count());
     // One drop list per decohere chunk (the chunk count is fixed: nodes
     // and grain never change after construction).
-    purge_entries_.resize(
-        pool_ ? (graph_.node_count() + decohere_grain_ - 1) / decohere_grain_
-              : 1);
+    purge_entries_.resize((graph_.node_count() + decohere_grain_ - 1) /
+                          decohere_grain_);
   }
 }
-
-ParallelTickEngine& NetworkState::pool() {
-  require(pool_ != nullptr, "NetworkState: kernel requires the sharded engine");
-  return *pool_;
-}
-
-std::size_t NetworkState::shard_count() const { return shard_count_; }
 
 void NetworkState::generate_chunk(std::size_t begin, std::size_t end) {
   // One batched draw over the chunk's edge range: bernoulli_batch is
@@ -101,8 +92,7 @@ void NetworkState::generate_chunk(std::size_t begin, std::size_t end) {
       std::span<std::uint8_t>(generation_flags_.data() + begin, end - begin));
 }
 
-std::uint64_t NetworkState::generate(std::uint32_t round, double rate,
-                                     util::Rng* sequential_rng) {
+std::uint64_t NetworkState::generate(std::uint32_t round, double rate) {
   const PhaseStopwatch stopwatch(timers_.generate_ns);
   // Fault phase: the plan's per-round rate factor scales the rate before
   // the whole/fraction split, and unavailable edges are masked out of the
@@ -113,21 +103,6 @@ std::uint64_t NetworkState::generate(std::uint32_t round, double rate,
   const double whole = std::floor(rate);
   const double frac = rate - whole;
   const auto whole_amount = static_cast<std::uint32_t>(whole);
-  if (!sharded()) {
-    require(sequential_rng != nullptr,
-            "NetworkState::generate: sequential mode needs an RNG stream");
-    std::uint64_t generated = 0;
-    const auto& edges = graph_.edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (masked && !fault_plan_->edge_up(e)) continue;
-      std::uint32_t amount = whole_amount;
-      if (frac > 0.0 && sequential_rng->bernoulli(frac)) ++amount;
-      if (amount == 0) continue;
-      ledger_.add(edges[e].a(), edges[e].b(), amount);
-      generated += amount;
-    }
-    return generated;
-  }
   // The merge runs on the caller in canonical edge order through the
   // ledger's batched add_edges (adds commute, but a fixed order keeps the
   // ledger internals single-threaded here; the batch hoists the global
@@ -195,7 +170,6 @@ void NetworkState::decide_chunk(std::size_t begin, std::size_t end,
 }
 
 void NetworkState::decide_swaps(const DecideFn& decide) {
-  require(pool_ != nullptr, "NetworkState: kernel requires the sharded engine");
   const PhaseStopwatch stopwatch(timers_.decide_ns);
   // The frontier: only nodes whose readable counts (or views — the
   // protocol marks those itself) changed since their last decision. A
@@ -266,7 +240,6 @@ NetworkState::CommitStats NetworkState::commit_swaps(
     const core::MaxMinBalancer& balancer, core::NodeId first,
     std::uint32_t round, std::uint32_t attempt, const RecheckFn& recheck,
     const ObserveFn& observe) {
-  require(pool_ != nullptr, "NetworkState: kernel requires the sharded engine");
   const PhaseStopwatch stopwatch(timers_.commit_ns);
   last_commit_probes_ = 0;
   // Quiescent fast path: nothing decided anywhere, nothing to group.
@@ -478,7 +451,6 @@ void NetworkState::decohere_chunk(std::size_t begin, std::size_t end) {
 }
 
 std::uint64_t NetworkState::decohere_all(double now) {
-  require(pool_ != nullptr, "NetworkState: kernel requires the sharded engine");
   require(decay_.has_value(), "NetworkState::decohere_all: decay tracking off");
   const PhaseStopwatch stopwatch(timers_.decohere_ns);
   // Phase 1 (chunked over nodes): the exp()-heavy fidelity scan; each
@@ -508,15 +480,13 @@ std::uint64_t NetworkState::decohere_all(double now) {
 
 std::uint64_t NetworkState::memory_bytes() const {
   std::uint64_t bytes = ledger_.memory_bytes();
-  if (pool_ != nullptr) {
-    // Sharded-engine per-node scratch (candidate table, commit outcome
-    // slots, union-find, group arenas, frontier/candidate lists): fixed
-    // logical bytes per node, plus one generation slot per edge.
-    constexpr std::uint64_t kShardedPerNodeBytes = 72;
-    bytes += kShardedPerNodeBytes * graph_.node_count();
-    bytes += sizeof(std::uint32_t) *
-             static_cast<std::uint64_t>(graph_.edge_count());
-  }
+  // Per-node kernel scratch (candidate table, commit outcome slots,
+  // union-find, group arenas, frontier/candidate lists): fixed logical
+  // bytes per node, plus one generation slot per edge.
+  constexpr std::uint64_t kScratchPerNodeBytes = 72;
+  bytes += kScratchPerNodeBytes * graph_.node_count();
+  bytes += sizeof(std::uint32_t) *
+           static_cast<std::uint64_t>(graph_.edge_count());
   if (pair_store_) bytes += pair_store_->memory_bytes();
   return bytes;
 }

@@ -61,57 +61,50 @@ struct DecayModel {
 
 class NetworkState {
  public:
-  /// `tick` selects the engine: kSharded spins up the worker pool and the
-  /// keyed-stream kernels; kSequential keeps the state passive (the
-  /// legacy single-stream loops drive the ledger directly). Pass `decay`
-  /// to track per-pair creation time/fidelity (the decohere kernel).
+  /// `tick` sizes the worker pool (threads=1 runs every kernel inline on
+  /// the caller) and the kernels' chunking. Pass `decay` to track
+  /// per-pair creation time/fidelity (the decohere kernel).
   NetworkState(const graph::Graph& generation_graph, std::uint64_t seed,
                const TickConcurrency& tick,
                std::optional<DecayModel> decay = std::nullopt);
 
-  [[nodiscard]] bool sharded() const { return pool_ != nullptr; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::size_t node_count() const { return ledger_.node_count(); }
   [[nodiscard]] const graph::Graph& generation_graph() const { return graph_; }
   [[nodiscard]] core::PairLedger& ledger() { return ledger_; }
   [[nodiscard]] const core::PairLedger& ledger() const { return ledger_; }
-  /// Worker pool; requires sharded().
-  [[nodiscard]] ParallelTickEngine& pool();
-  /// Node shards resolved for this network (1 when sequential).
-  [[nodiscard]] std::size_t shard_count() const;
+  /// Worker pool.
+  [[nodiscard]] ParallelTickEngine& pool() { return *pool_; }
+  /// Node shards resolved for this network.
+  [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
   /// Whether the decide kernel runs over the dirty frontier only.
   [[nodiscard]] bool incremental_decide() const {
     return tick_.incremental_decide;
   }
   /// Cumulative per-phase wall-clock spent in this state's kernels.
-  /// Mutable so drivers with bespoke kernel loops (fidelity slices, the
-  /// sequential sweep) can account their phases here too.
+  /// Mutable so drivers with bespoke kernel loops (fidelity slices) can
+  /// account their phases here too.
   [[nodiscard]] PhaseTimers& timers() { return timers_; }
   [[nodiscard]] const PhaseTimers& timers() const { return timers_; }
 
   // --- generation kernel ----------------------------------------------
   /// Add `rate` Bell pairs per generation edge (fractional rates use
-  /// Bernoulli rounding). Sharded mode draws each edge's rounding flag
-  /// from a stream keyed (seed, generation-tag, round, edge) — batched
-  /// per chunk through util::Rng::bernoulli_batch, bit-identical to the
-  /// scalar draws — and merges into the ledger in canonical edge order
-  /// via the batched PairLedger::add_edges. Integral rates skip the draw
-  /// pass entirely and merge directly. Sequential mode consumes
-  /// `sequential_rng` edge by edge, reproducing the legacy loop bit for
-  /// bit. Returns the number of pairs generated.
-  std::uint64_t generate(std::uint32_t round, double rate,
-                         util::Rng* sequential_rng);
+  /// Bernoulli rounding). Each edge's rounding flag comes from a stream
+  /// keyed (seed, generation-tag, round, edge) — batched per chunk
+  /// through util::Rng::bernoulli_batch, bit-identical to the scalar
+  /// draws — and merges into the ledger in canonical edge order via the
+  /// batched PairLedger::add_edges. Integral rates skip the draw pass
+  /// entirely and merge directly. Returns the number of pairs generated.
+  std::uint64_t generate(std::uint32_t round, double rate);
 
   // --- fault phase ------------------------------------------------------
   /// Attach the driver's fault plan (may be null to detach). While a plan
   /// is attached, generate() scales the rate by the plan's current rate
   /// factor and masks unavailable edges out of the sweep. Masking never
-  /// shifts another edge's keyed stream: the sharded path still derives
-  /// the per-(round, edge) rounding flag for every edge and only zeroes
-  /// the merged amount, so the same plan trajectory yields bit-identical
-  /// results at every threads/shards setting. (The sequential path skips
-  /// masked edges without drawing — its single-stream discipline has no
-  /// cross-setting contract to preserve.)
+  /// shifts another edge's keyed stream: the kernel still derives the
+  /// per-(round, edge) rounding flag for every edge and only zeroes the
+  /// merged amount, so the same plan trajectory yields bit-identical
+  /// results at every threads/shards setting.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
   [[nodiscard]] const FaultPlan* fault_plan() const { return fault_plan_; }
   /// Crash purge: remove every stored pair the node shares — ledger
@@ -123,7 +116,7 @@ class NetworkState {
   // --- swap decide kernel ---------------------------------------------
   /// Per-node swap choice against the frozen (post-generation) state.
   /// Must be pure on shared state; each invocation gets a caller-owned
-  /// scratch. Requires sharded().
+  /// scratch.
   using DecideFn = std::function<std::optional<core::SwapCandidate>(
       core::NodeId, core::MaxMinBalancer::Scratch&)>;
   /// Refresh the candidate table: fan `decide` across dynamically
@@ -184,7 +177,7 @@ class NetworkState {
   /// Cost is O(#candidates), not O(n): every walk enumerates the sorted
   /// candidate-node list rotated at `first` (identical visit order to the
   /// old filtered 0..n scan), and the union-find resets by version stamp
-  /// instead of re-initializing all n slots. Requires sharded().
+  /// instead of re-initializing all n slots.
   CommitStats commit_swaps(const core::MaxMinBalancer& balancer,
                            core::NodeId first, std::uint32_t round,
                            std::uint32_t attempt, const RecheckFn& recheck,
@@ -217,7 +210,7 @@ class NetworkState {
   /// concatenating the per-chunk drop lists in chunk order, which is
   /// exactly ascending (x, y) — the same canonical order as a full
   /// triangular walk over the non-empty buckets. Returns the total pairs
-  /// dropped. Requires sharded().
+  /// dropped.
   std::uint64_t decohere_all(double now);
 
   /// Deterministic logical bytes held by the simulation state (ledger
@@ -244,7 +237,6 @@ class NetworkState {
   core::PairLedger ledger_;
   PhaseTimers timers_;
 
-  // Sharded-engine state (null/empty when sequential).
   std::unique_ptr<ParallelTickEngine> pool_;
   std::size_t shard_count_ = 1;
   // Decide scratch is pure per-invocation workspace, so one per pool

@@ -34,19 +34,17 @@
 
 namespace poq::sim {
 
-/// Which tick discipline drives a round-based simulator.
+/// The tick discipline of the round-based simulators. There is one: the
+/// sharded deterministic engine, whose generation draws come from
+/// counter-based per-(round, edge) streams and whose swap decisions are
+/// computed against the post-generation snapshot (in parallel across node
+/// shards) and committed in canonical node order with per-(round, node)
+/// streams. Results are bit-identical for every threads/shards setting,
+/// and threads=1 runs the same phases inline on the caller. The enum and
+/// TickConcurrency::mode survive only because perfbench/poqbench.cpp
+/// assigns the field; nothing in src/ reads it, and both go once that
+/// benchmark program drops the assignment.
 enum class TickMode {
-  /// Legacy single-stream loop: one thread, one RNG stream per subsystem,
-  /// the swap sweep strictly sequential (each node observes every earlier
-  /// swap of the same round).
-  kSequential,
-  /// Sharded deterministic engine: generation draws from counter-based
-  /// per-(round, edge) streams, swap decisions are computed against the
-  /// post-generation snapshot (in parallel across node shards) and
-  /// committed in canonical node order with per-(round, node) streams.
-  /// Results are bit-identical for every threads/shards setting; they
-  /// differ from kSequential, whose stream discipline and in-sweep
-  /// visibility are inherently serial.
   kSharded,
 };
 
@@ -83,9 +81,10 @@ inline constexpr std::uint64_t kFaultRate = 0x666C7472ULL;  // "fltr"
 
 /// The intra-run concurrency knobs every ported simulator carries.
 struct TickConcurrency {
-  TickMode mode = TickMode::kSequential;
-  /// Worker threads for the sharded engine (0 = hardware). Never affects
-  /// results.
+  /// Unread; see TickMode.
+  TickMode mode = TickMode::kSharded;
+  /// Worker threads (0 = hardware; 1 runs every phase inline on the
+  /// caller). Never affects results.
   std::uint32_t threads = 1;
   /// Work shards per phase (0 = auto). Never affects results.
   std::uint32_t shards = 0;
@@ -132,7 +131,7 @@ struct PhaseTimers {
 /// RAII accumulator for one PhaseTimers field: adds the scope's elapsed
 /// wall-clock on destruction. The single timing implementation for every
 /// phase accounting site (NetworkState kernels, the fidelity slice
-/// kernels, the sequential sweep).
+/// kernels).
 class PhaseStopwatch {
  public:
   explicit PhaseStopwatch(std::uint64_t& sink)

@@ -33,8 +33,10 @@
 //     carried the messages.
 // With all randomness drawn from counter-based keyed streams
 // (util::Rng::keyed per (tag, epoch, entity)), a vertex program's results
-// are bit-identical for every threads/shards setting, and the sequential
-// engine (no pool) is the shard_count = 1 special case of the same code.
+// are bit-identical for every threads/shards setting. The simulators
+// always pass a pool (one thread runs inline); a null pool is the
+// shard_count = 1 special case of the same code, kept as the inline
+// reference the vertex-program tests compare the pooled runs against.
 //
 // The signaled-set reuses the PairLedger dirty-set discipline: relaxed
 // atomic marks (safe from concurrent kernels), a per-epoch marking budget
@@ -146,8 +148,8 @@ class VertexProgram {
     SignalSet* signals_ = nullptr;
   };
 
-  /// `pool` may be null (sequential engine): kernels then run inline on
-  /// the caller with one shard — the same canonical orders, bit for bit.
+  /// `pool` may be null (the inline reference): kernels then run on the
+  /// caller with one shard — the same canonical orders, bit for bit.
   VertexProgram(std::size_t vertex_count, ParallelTickEngine* pool,
                 std::size_t shard_count)
       : vertex_count_(vertex_count),
@@ -197,7 +199,7 @@ class VertexProgram {
   }
 
   /// Run `kernel(shard, context)` over every shard, fanned across the
-  /// pool (inline when sequential). The kernel must partition its entity
+  /// pool (inline without one). The kernel must partition its entity
   /// list with ParallelTickEngine::shard_range over shard_count() shards
   /// — ascending contiguous slices are what make seal() canonical.
   template <typename Kernel>

@@ -10,6 +10,7 @@
 #include "core/ledger.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/topology.hpp"
+#include "sim/network_state.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -170,48 +171,105 @@ TEST(MaxMinProperty, GlobalMinimumNeverDecreases) {
   }
 }
 
+// --- the §4 sweep on the shipped engine --------------------------------
+
+/// A frozen network: the complete graph on n nodes with random counts on
+/// every pair, and no generation or consumption afterwards.
+struct FrozenNetwork {
+  FrozenNetwork(std::size_t n, std::uint32_t max_count, util::Rng& rng)
+      : graph(graph::make_complete(n)), state(graph, rng(), {}) {
+    for (NodeId x = 0; x < n; ++x) {
+      for (NodeId y = x + 1; y < n; ++y) {
+        state.ledger().add(
+            x, y, static_cast<std::uint32_t>(rng.uniform_index(max_count)));
+      }
+    }
+  }
+  graph::Graph graph;
+  sim::NetworkState state;
+};
+
+/// One round of the shipped swap phase: up to `swaps_per_node` decide +
+/// two-level commit passes, every node choosing against the snapshot and
+/// each commit re-checked against the live ledger. Stats are summed over
+/// the passes.
+sim::NetworkState::CommitStats frozen_sweep(sim::NetworkState& state,
+                                            const MaxMinBalancer& balancer,
+                                            std::uint32_t round,
+                                            std::uint32_t swaps_per_node) {
+  const auto first = static_cast<NodeId>(round % state.node_count());
+  sim::NetworkState::CommitStats total;
+  for (std::uint32_t attempt = 0; attempt < swaps_per_node; ++attempt) {
+    state.decide_swaps([&](NodeId x, MaxMinBalancer::Scratch& scratch) {
+      return balancer.best_swap(state.ledger(), x, scratch);
+    });
+    const sim::NetworkState::CommitStats stats = state.commit_swaps(
+        balancer, first, round, attempt,
+        [&](NodeId x, const SwapCandidate& candidate) {
+          return balancer.is_preferable(state.ledger(), x, candidate.left,
+                                        candidate.right);
+        });
+    total.swaps += stats.swaps;
+    total.pairs_consumed += stats.pairs_consumed;
+    total.pairs_produced += stats.pairs_produced;
+    if (stats.swaps == 0) break;
+  }
+  return total;
+}
+
+/// Sweep a frozen network to its fixed point, checking per sweep that the
+/// global minimum never drops and that pairs are conserved. Returns false
+/// when the sweep cap is hit before a sweep commits no swap.
+bool sweep_to_fixed_point(sim::NetworkState& state,
+                          const MaxMinBalancer& balancer) {
+  const PairLedger& ledger = state.ledger();
+  for (std::uint32_t round = 1; round <= 20000; ++round) {
+    const std::uint64_t total_before = ledger.total_pairs();
+    const std::uint32_t minimum_before = ledger.minimum_pair_count();
+    const sim::NetworkState::CommitStats stats =
+        frozen_sweep(state, balancer, round, 1);
+    EXPECT_GE(ledger.minimum_pair_count(), minimum_before) << "round " << round;
+    EXPECT_EQ(ledger.total_pairs(),
+              total_before - stats.pairs_consumed + stats.pairs_produced)
+        << "round " << round;
+    if (stats.swaps == 0) return true;
+  }
+  return false;
+}
+
 // With generation and consumption frozen, sweeps reach a fixed point where
 // no node has a preferable swap (the max-min allocation of §4).
 TEST(MaxMinProperty, FrozenSystemReachesFixedPoint) {
   util::Rng rng(23);
-  PairLedger ledger(8);
+  FrozenNetwork network(8, 10, rng);
   const MaxMinBalancer balancer = unit_balancer();
+  ASSERT_TRUE(sweep_to_fixed_point(network.state, balancer))
+      << "balancing did not reach a fixed point";
   for (NodeId x = 0; x < 8; ++x) {
-    for (NodeId y = x + 1; y < 8; ++y) {
-      ledger.add(x, y, static_cast<std::uint32_t>(rng.uniform_index(10)));
-    }
-  }
-  bool converged = false;
-  for (int sweep = 0; sweep < 10000 && !converged; ++sweep) {
-    const SweepStats stats = run_swap_sweep(balancer, ledger, 0, 1, rng);
-    converged = stats.swaps == 0;
-  }
-  ASSERT_TRUE(converged) << "balancing did not reach a fixed point";
-  for (NodeId x = 0; x < 8; ++x) {
-    EXPECT_FALSE(balancer.best_swap(ledger, x).has_value());
+    EXPECT_FALSE(balancer.best_swap(network.state.ledger(), x).has_value());
   }
 }
 
 // Parameterized over distillation levels: the fixed point always exists.
+// D = 0.5 covers the commit's keyed fractional-D rounding draws.
 class FrozenConvergenceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(FrozenConvergenceSweep, TerminatesForAllDistillation) {
   util::Rng rng(29);
-  PairLedger ledger(6);
   const MaxMinBalancer balancer = unit_balancer(GetParam());
-  for (NodeId x = 0; x < 6; ++x) {
-    for (NodeId y = x + 1; y < 6; ++y) {
-      ledger.add(x, y, static_cast<std::uint32_t>(rng.uniform_index(12)));
+  for (int trial = 0; trial < 30; ++trial) {
+    FrozenNetwork network(8, 12, rng);
+    ASSERT_TRUE(sweep_to_fixed_point(network.state, balancer))
+        << "trial " << trial;
+    for (NodeId x = 0; x < 8; ++x) {
+      EXPECT_FALSE(balancer.best_swap(network.state.ledger(), x).has_value())
+          << "trial " << trial << " node " << x;
     }
-  }
-  int sweeps = 0;
-  while (run_swap_sweep(balancer, ledger, 0, 1, rng).swaps > 0) {
-    ASSERT_LT(++sweeps, 20000);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Distillation, FrozenConvergenceSweep,
-                         ::testing::Values(1.0, 2.0, 3.0, 4.0));
+                         ::testing::Values(1.0, 2.0, 3.0, 4.0, 0.5));
 
 TEST(DetourPolicy, RestrictsFarSwaps) {
   // Cycle of 6; node 3 holds pairs with 2 and 4 whose direct distance is
@@ -248,15 +306,18 @@ TEST(DetourPolicy, RequiresDistances) {
 }
 
 TEST(SweepStats, AccountsConservation) {
-  util::Rng rng(31);
-  PairLedger ledger(5);
-  const MaxMinBalancer balancer = unit_balancer(2.0);
-  for (NodeId x = 0; x < 5; ++x) {
-    for (NodeId y = x + 1; y < 5; ++y) ledger.add(x, y, 8);
-  }
-  const std::uint64_t before = ledger.total_pairs();
-  const SweepStats stats = run_swap_sweep(balancer, ledger, 0, 3, rng);
-  EXPECT_EQ(ledger.total_pairs(),
+  const graph::Graph graph = graph::make_complete(5);
+  sim::NetworkState state(graph, 31, {});
+  // Fractional D, so the consumed count depends on the keyed draws. Node
+  // 0 is rich toward everyone and every other pair starts empty, so the
+  // first pass has swaps to commit.
+  const MaxMinBalancer balancer = unit_balancer(1.5);
+  for (NodeId y = 1; y < 5; ++y) state.ledger().add(0, y, 8);
+  const std::uint64_t before = state.ledger().total_pairs();
+  const sim::NetworkState::CommitStats stats =
+      frozen_sweep(state, balancer, 0, 3);
+  EXPECT_GT(stats.swaps, 0u);
+  EXPECT_EQ(state.ledger().total_pairs(),
             before - stats.pairs_consumed + stats.pairs_produced);
   EXPECT_EQ(stats.pairs_produced, stats.swaps);
 }

@@ -266,7 +266,7 @@ TEST(ParallelDeterminism, StreamingArrivalsStayDeterministic) {
 TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
   // Node + link churn plus rate degradation on the three protocols whose
   // fault phases stress different machinery (ledger purges + generation
-  // masks, gossip's message substrate, the fidelity event engine): the
+  // masks, gossip's message substrate, the fidelity slice kernels): the
   // fault trajectory comes from its own keyed streams, so the full
   // resilience metric set — crashes, purges, availability, recovery
   // timings in simulated time — must be bit-identical across the
@@ -358,18 +358,16 @@ TEST(ParallelDeterminism, SeedReplicatedSweepCellIsThreadInvariant) {
   EXPECT_EQ(aggregate_dump(2, 2), reference);
 }
 
-TEST(ParallelDeterminism, SequentialEngineStaysLegacy) {
-  // engine=sequential must keep reproducing the pre-port sequential
-  // simulator bit for bit (the core unit suites pin that path too).
+TEST(ParallelDeterminism, RegistryMatchesDirectBalancingRun) {
+  // The registry adapter at its default knobs must be exactly a direct
+  // run_balancing call at the default config.
   ScenarioSpec spec = base_spec("balancing");
-  spec.knobs["engine"] = std::string("sequential");
   const RunMetrics metrics = registry().run("balancing", spec);
 
   const ScenarioInstance instance = instantiate(spec);
   core::BalancingConfig config;
   config.max_rounds = 5000;
   config.seed = spec.seed;
-  ASSERT_EQ(config.tick.mode, sim::TickMode::kSequential);  // the default
   const core::BalancingResult direct =
       core::run_balancing(instance.graph, instance.workload, config);
   EXPECT_EQ(metrics.scalar("rounds"), static_cast<double>(direct.rounds));
@@ -379,28 +377,28 @@ TEST(ParallelDeterminism, SequentialEngineStaysLegacy) {
             static_cast<double>(direct.requests_satisfied));
 }
 
-TEST(ParallelDeterminism, EveryProtocolAcceptsBothEngines) {
-  for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol, 16);
-    spec.consumer_pairs = 10;
-    spec.requests = 15;
-    if (protocol == "fidelity" || protocol == "distributed" ||
-        protocol == "async_routing") {
-      spec.knobs["duration"] = 30.0;
-    }
-    for (const char* engine : {"sharded", "sequential"}) {
-      spec.knobs["engine"] = std::string(engine);
-      EXPECT_NO_THROW((void)registry().run(protocol, spec))
-          << protocol << " rejected engine=" << engine;
-    }
+/// Run `spec` and expect the registry's unknown-knob rejection for `knob`.
+void expect_no_knob(const std::string& protocol, const ScenarioSpec& spec,
+                    const std::string& knob) {
+  try {
+    (void)registry().run(protocol, spec);
+    FAIL() << protocol << " accepted knob '" << knob << "'";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("has no knob"), std::string::npos)
+        << protocol << ": unhelpful error for knob '" << knob
+        << "': " << error.what();
   }
 }
 
 TEST(ParallelDeterminism, EngineKnobRejectsUnknownValues) {
+  // There is one tick engine, so no protocol declares an `engine` knob:
+  // any value, the old ones included, is an unknown knob.
   for (const std::string& protocol : kPortedProtocols) {
-    ScenarioSpec spec = base_spec(protocol);
-    spec.knobs["engine"] = std::string("warp-drive");
-    EXPECT_THROW((void)registry().run(protocol, spec), PreconditionError);
+    for (const char* engine : {"sharded", "sequential", "warp-drive"}) {
+      ScenarioSpec spec = base_spec(protocol);
+      spec.knobs["engine"] = std::string(engine);
+      expect_no_knob(protocol, spec, "engine");
+    }
   }
 }
 
@@ -412,14 +410,7 @@ TEST(ParallelDeterminism, LpRejectsEngineKnobs) {
   for (const char* knob : {"engine", "threads", "shards", "decide"}) {
     ScenarioSpec spec = base_spec("lp");
     spec.knobs[knob] = std::string("anything");
-    try {
-      (void)registry().run("lp", spec);
-      FAIL() << "lp accepted tick knob '" << knob << "'";
-    } catch (const PreconditionError& error) {
-      EXPECT_NE(std::string(error.what()).find("has no knob"),
-                std::string::npos)
-          << "unhelpful error for knob '" << knob << "': " << error.what();
-    }
+    expect_no_knob("lp", spec, knob);
   }
 }
 

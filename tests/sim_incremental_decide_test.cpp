@@ -200,7 +200,6 @@ TEST(IncrementalDecide, RoundTrajectoriesMatchFullRescan) {
   core::BalancingConfig config;
   config.generation_per_edge_per_round = 0.4;
   config.seed = 11;
-  config.tick.mode = sim::TickMode::kSharded;
   config.tick.threads = 2;
   config.tick.shards = 8;
   core::BalancingConfig full_config = config;
@@ -245,7 +244,6 @@ TEST(HotPathAllocations, SteadyStateRoundAllocatesNothing) {
       core::BalancingConfig config;
       config.generation_per_edge_per_round = 0.5;
       config.seed = 9;
-      config.tick.mode = sim::TickMode::kSharded;
       config.tick.threads = threads;
       config.tick.shards = shards;
       core::BalancingSimulation sim(graph, workload, config);
@@ -323,7 +321,6 @@ TEST(HotPathAllocations, DispatchWithLaggingWorkerAllocatesNothing) {
 std::uint64_t commit_probes(std::size_t nodes) {
   const graph::Graph graph = graph::make_cycle(nodes);
   sim::TickConcurrency tick;
-  tick.mode = sim::TickMode::kSharded;
   tick.threads = 1;
   sim::NetworkState state(graph, 1, tick);
   state.decide_swaps(
@@ -361,7 +358,6 @@ TEST(HotPathAllocations, QuiescentCommitIsFree) {
   // probing at all (the empty-list fast path).
   const graph::Graph graph = graph::make_cycle(32);
   sim::TickConcurrency tick;
-  tick.mode = sim::TickMode::kSharded;
   tick.threads = 1;
   sim::NetworkState state(graph, 1, tick);
   state.decide_swaps([](core::NodeId, core::MaxMinBalancer::Scratch&)

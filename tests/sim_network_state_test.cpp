@@ -14,7 +14,6 @@
 #include "core/maxmin_balancer.hpp"
 #include "graph/topology.hpp"
 #include "sim/network_state.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace poq::sim {
@@ -27,7 +26,6 @@ using core::SwapCandidate;
 
 TickConcurrency sharded(std::uint32_t threads, std::uint32_t shards = 0) {
   TickConcurrency tick;
-  tick.mode = TickMode::kSharded;
   tick.threads = threads;
   tick.shards = shards;
   return tick;
@@ -187,7 +185,7 @@ TEST(NetworkStateGeneration, KeyedStreamsAreShardInvariant) {
     NetworkState state(graph, 7, sharded(2, shards));
     std::uint64_t generated = 0;
     for (std::uint32_t round = 1; round <= 20; ++round) {
-      generated += state.generate(round, 0.6, nullptr);
+      generated += state.generate(round, 0.6);
     }
     const std::string dump =
         ledger_dump(state.ledger()) + "#" + std::to_string(generated);
@@ -219,24 +217,6 @@ TEST(NetworkStateDecay, TrackedPairsPurgeAndDecohere) {
   const TrackedPair oldest = state.take_pair(0, 1, 6.0, /*freshest=*/false);
   EXPECT_EQ(oldest.created, 0.0);
   EXPECT_EQ(state.ledger().total_pairs(), 0u);
-}
-
-TEST(NetworkStateKernels, RequireShardedEngine) {
-  const graph::Graph graph = graph::make_cycle(6);
-  TickConcurrency sequential;  // default kSequential
-  NetworkState state(graph, 1, sequential);
-  const MaxMinBalancer balancer{core::DistillationMatrix(1.0)};
-  EXPECT_THROW(
-      state.decide_swaps([](NodeId, MaxMinBalancer::Scratch&) {
-        return std::optional<SwapCandidate>{};
-      }),
-      PreconditionError);
-  EXPECT_THROW((void)state.commit_swaps(
-                   balancer, 0, 0, 0,
-                   [](NodeId, const SwapCandidate&) { return true; }),
-               PreconditionError);
-  // Sequential generation needs its stream.
-  EXPECT_THROW((void)state.generate(1, 0.5, nullptr), PreconditionError);
 }
 
 }  // namespace

@@ -117,9 +117,9 @@ util::json::Value suite_to_json(const SuiteRun& run, const Options& options) {
   Value config = Value::object();
   config.set("quick", options.quick);
   config.set("seeds", static_cast<double>(run.seeds));
-  // Engine provenance for committed baselines: cells whose spec does not
-  // pin `engine` ran the sharded default at this intra-run thread count
-  // (the suite's own value — some suites pin it regardless of the flag).
+  // Engine provenance for committed baselines: every cell ran the sharded
+  // engine (the only one) at this intra-run thread count (the suite's own
+  // value — some suites pin it regardless of the flag).
   config.set("default_engine", "sharded");
   config.set("intra_threads", static_cast<double>(run.intra_threads));
   out.set("config", std::move(config));
