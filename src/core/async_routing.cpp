@@ -66,13 +66,7 @@ class Driver {
       vp_.signals().reset_budget();
     }
     result_.control_messages = vp_.messages_sent();
-    if (fault_plan_) {
-      const sim::FaultStats& fault_stats = fault_plan_->stats();
-      result_.availability = fault_stats.availability();
-      result_.fault_rounds_degraded = fault_stats.degraded_rounds;
-      result_.node_crashes = fault_stats.node_crashes;
-      result_.link_downs = fault_stats.link_downs;
-    }
+    if (fault_plan_) result_.resilience.absorb(fault_plan_->stats());
     return std::move(result_);
   }
 
@@ -98,20 +92,12 @@ class Driver {
         const std::uint32_t count = ledger_.count(x, y);
         if (count == 0) continue;
         ledger_.remove(x, y, count);
-        result_.pairs_purged_by_faults += count;
+        result_.resilience.pairs_purged_by_faults += count;
         vp_.signals().signal(y);  // its routing options shrank
       }
       vp_.signals().signal(x);
     }
-    const bool degraded = fault_plan_->degraded();
-    if (degraded) {
-      in_degraded_episode_ = true;
-    } else if (in_degraded_episode_) {
-      in_degraded_episode_ = false;
-      awaiting_recovery_ = true;
-      episode_end_ = now_;
-    }
-    round_degraded_ = degraded;
+    result_.resilience.note_round(fault_plan_->degraded(), now_);
   }
 
   /// Deliver token handoffs: the apply kernel appends each arriving token
@@ -271,11 +257,7 @@ class Driver {
 
   void complete(const Token& token) {
     ++result_.requests_satisfied;
-    if (round_degraded_) ++result_.delivered_under_fault;
-    if (awaiting_recovery_) {
-      result_.time_to_recover.add(now_ - episode_end_);
-      awaiting_recovery_ = false;
-    }
+    result_.resilience.note_delivery(now_);
     result_.request_latency.add(now_ - token.arrival_time);
     result_.request_hops.add(static_cast<double>(token.hops));
   }
@@ -304,10 +286,6 @@ class Driver {
   // Fault phase state (engaged only when config.faults.enabled()).
   std::optional<sim::FaultPlan> fault_plan_;
   std::vector<NodeId> purge_partners_;
-  bool round_degraded_ = false;
-  bool in_degraded_episode_ = false;
-  bool awaiting_recovery_ = false;
-  double episode_end_ = 0.0;
   AsyncRoutingResult result_;
 };
 

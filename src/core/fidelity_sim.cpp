@@ -40,23 +40,6 @@ struct Consumer {
   FidelitySimResult& result;
   std::size_t head = 0;
   double head_since = 0.0;
-  // Fault-episode tracking (fed by note_fault_round once per slice).
-  bool degraded_now = false;
-  bool in_degraded_episode = false;
-  bool awaiting_recovery = false;
-  double episode_end = 0.0;
-
-  /// Record this fault round's degraded flag and episode boundaries.
-  void note_fault_round(bool degraded, double now) {
-    degraded_now = degraded;
-    if (degraded) {
-      in_degraded_episode = true;
-    } else if (in_degraded_episode) {
-      in_degraded_episode = false;
-      awaiting_recovery = true;
-      episode_end = now;
-    }
-  }
 
   void try_consume(double now) {
     while (head < workload.request_count()) {
@@ -71,11 +54,7 @@ struct Consumer {
       result.storage_age_at_use.add(now - used.created);
       result.request_latency.add(now - head_since);
       ++result.requests_satisfied;
-      if (degraded_now) ++result.delivered_under_fault;
-      if (awaiting_recovery) {
-        result.time_to_recover.add(now - episode_end);
-        awaiting_recovery = false;
-      }
+      result.resilience.note_delivery(now);
       ++head;
       head_since = now;
     }
@@ -183,13 +162,13 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
 
     // 0. Fault phase (serial): advance the plan to this slice, destroy
     // crashed nodes' stored pairs (purged, not decayed), note episode
-    // boundaries for the consumer.
+    // boundaries.
     if (fault_plan) {
       const std::vector<NodeId>& crashed = fault_plan->advance(s);
       for (const NodeId x : crashed) {
-        result.pairs_purged_by_faults += state.purge_node(x);
+        result.resilience.pairs_purged_by_faults += state.purge_node(x);
       }
-      consumer.note_fault_round(fault_plan->degraded(), t0);
+      result.resilience.note_round(fault_plan->degraded(), t0);
     }
     const bool masked = fault_plan && fault_plan->any_edge_down();
     const double generation_rate =
@@ -360,13 +339,7 @@ FidelitySimResult run_fidelity_sim(const graph::Graph& generation_graph,
 
   result.pairs_in_storage_at_end = state.ledger().total_pairs();
   result.phase = state.timers();
-  if (fault_plan) {
-    const sim::FaultStats& fault_stats = fault_plan->stats();
-    result.availability = fault_stats.availability();
-    result.fault_rounds_degraded = fault_stats.degraded_rounds;
-    result.node_crashes = fault_stats.node_crashes;
-    result.link_downs = fault_stats.link_downs;
-  }
+  if (fault_plan) result.resilience.absorb(fault_plan->stats());
   return result;
 }
 

@@ -100,6 +100,7 @@ net::CountUpdate count_update_of(const PairLedger& ledger, NodeId x,
 GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
                         const GossipConfig& config) {
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
+  require(config.latency_per_hop >= 0.0, "GossipConfig: negative latency");
   BalancingSimulation sim(generation_graph, workload, config.base);
   sim::NetworkState& state = sim.state();
   const auto node_count = static_cast<NodeId>(generation_graph.node_count());

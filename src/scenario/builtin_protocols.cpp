@@ -110,22 +110,21 @@ sim::FaultConfig fault_config_from_spec(const ScenarioSpec& spec) {
 /// Resilience metrics, emitted only when faults are engaged so fault-free
 /// runs (and every committed baseline) keep their historical metric set
 /// byte for byte — the same conditional-emission discipline as the
-/// streaming counters. Works on any family Result carrying the shared
-/// resilience field set.
-template <typename Result>
+/// streaming counters.
 void add_fault_metrics(RunMetrics& metrics, const sim::FaultConfig& config,
-                       const Result& result) {
+                       const sim::Resilience& resilience) {
   if (!config.enabled()) return;
-  metrics.set_scalar("availability", result.availability);
+  metrics.set_scalar("availability", resilience.availability);
   metrics.set_scalar("fault_rounds_degraded",
-                     static_cast<double>(result.fault_rounds_degraded));
+                     static_cast<double>(resilience.fault_rounds_degraded));
   metrics.set_scalar("delivered_under_fault",
-                     static_cast<double>(result.delivered_under_fault));
-  metrics.set_scalar("node_crashes", static_cast<double>(result.node_crashes));
-  metrics.set_scalar("link_downs", static_cast<double>(result.link_downs));
+                     static_cast<double>(resilience.delivered_under_fault));
+  metrics.set_scalar("node_crashes",
+                     static_cast<double>(resilience.node_crashes));
+  metrics.set_scalar("link_downs", static_cast<double>(resilience.link_downs));
   metrics.set_scalar("pairs_purged_by_faults",
-                     static_cast<double>(result.pairs_purged_by_faults));
-  metrics.set_stats("time_to_recover", result.time_to_recover);
+                     static_cast<double>(resilience.pairs_purged_by_faults));
+  metrics.set_stats("time_to_recover", resilience.time_to_recover);
 }
 
 /// Surface the phase-kernel wall-clock (RunMetrics timings; excluded from
@@ -187,7 +186,7 @@ void add_balancing_metrics(RunMetrics& metrics, const core::BalancingResult& res
 void add_balancing_fault_metrics(RunMetrics& metrics,
                                  const sim::FaultConfig& config,
                                  const core::BalancingResult& result) {
-  add_fault_metrics(metrics, config, result);
+  add_fault_metrics(metrics, config, result.resilience);
   if (config.enabled()) {
     metrics.set_scalar("backlog_peak", static_cast<double>(result.backlog_peak));
   }
@@ -329,7 +328,7 @@ class PlannedProtocol final : public Protocol {
                          result.denominator_exact);
     metrics.set_scalar("mean_service", result.service_rounds.mean());
     metrics.set_stats("service_rounds", result.service_rounds);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.resilience);
     return metrics;
   }
 };
@@ -452,7 +451,7 @@ class DistributedProtocol final : public Protocol {
                        static_cast<double>(result.pairs_generated));
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("decision_view_age", result.decision_view_age);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.resilience);
     return metrics;
   }
 };
@@ -512,7 +511,7 @@ class AsyncRoutingProtocol final : public Protocol {
                        static_cast<double>(result.control_messages));
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("request_hops", result.request_hops);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.resilience);
     return metrics;
   }
 };
@@ -581,7 +580,7 @@ class FidelityProtocol final : public Protocol {
     metrics.set_stats("request_latency", result.request_latency);
     metrics.set_stats("storage_age_at_use", result.storage_age_at_use);
     add_phase_timings(metrics, result.phase);
-    add_fault_metrics(metrics, config.faults, result);
+    add_fault_metrics(metrics, config.faults, result.resilience);
     return metrics;
   }
 };

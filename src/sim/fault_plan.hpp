@@ -103,6 +103,58 @@ struct FaultStats {
   }
 };
 
+/// The resilience metric set of one run, and the episode rule that
+/// defines two of its metrics. A degraded episode is a maximal run of
+/// degraded rounds; it ends at the first round that is not degraded.
+/// delivered_under_fault counts deliveries made in a degraded round, and
+/// time_to_recover samples, once per ended episode, the time from the
+/// episode's end to the first delivery after it. An episode that ends
+/// before the previous one has been sampled re-times from its own end.
+/// Each simulator reports in its own clock (rounds or simulated time).
+struct Resilience {
+  /// Mean per-round fraction of up entities (1 when faults are off).
+  double availability = 1.0;
+  std::uint64_t fault_rounds_degraded = 0;
+  std::uint64_t delivered_under_fault = 0;
+  std::uint64_t node_crashes = 0;
+  std::uint64_t link_downs = 0;
+  /// Stored pairs destroyed by node crashes (each simulator purges its
+  /// own state store and adds the count here).
+  std::uint64_t pairs_purged_by_faults = 0;
+  util::RunningStats time_to_recover;
+
+  /// Record whether the current round, at time `now`, is degraded.
+  void note_round(bool degraded, double now) {
+    if (degraded_ && !degraded) {  // an episode ends
+      awaiting_recovery_ = true;
+      episode_end_ = now;
+    }
+    degraded_ = degraded;
+  }
+
+  /// Record one delivery at `now`.
+  void note_delivery(double now) {
+    if (degraded_) ++delivered_under_fault;
+    if (awaiting_recovery_) {
+      time_to_recover.add(now - episode_end_);
+      awaiting_recovery_ = false;
+    }
+  }
+
+  /// Copy the fault plan's counters.
+  void absorb(const FaultStats& stats) {
+    availability = stats.availability();
+    fault_rounds_degraded = stats.degraded_rounds;
+    node_crashes = stats.node_crashes;
+    link_downs = stats.link_downs;
+  }
+
+ private:
+  bool degraded_ = false;
+  bool awaiting_recovery_ = false;
+  double episode_end_ = 0.0;
+};
+
 /// The evolving availability mask. Construction validates the script
 /// (known nodes, existing generation edges, sane factors) and resolves
 /// link events to edge indices; advance(round) is then allocation-free.

@@ -106,5 +106,14 @@ TEST(Gossip, RejectsZeroFanout) {
                PreconditionError);
 }
 
+TEST(Gossip, RejectsNegativeLatency) {
+  const graph::Graph graph = graph::make_cycle(8);
+  const Workload workload = workload_for(8, 5, 7);
+  GossipConfig config;
+  config.latency_per_hop = -1.0;
+  EXPECT_THROW([&] { (void)run_gossip(graph, workload, config); }(),
+               PreconditionError);
+}
+
 }  // namespace
 }  // namespace poq::core

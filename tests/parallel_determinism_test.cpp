@@ -263,28 +263,32 @@ TEST(ParallelDeterminism, StreamingArrivalsStayDeterministic) {
   }
 }
 
+/// Node + link churn plus rate degradation, with a scripted crash on top
+/// of the stochastic churn so the script cursor runs alongside the keyed
+/// transitions.
+ScenarioSpec churn_spec(const std::string& protocol) {
+  ScenarioSpec spec = base_spec(protocol, 16);
+  spec.consumer_pairs = 10;
+  spec.requests = 30;
+  if (protocol == "fidelity") spec.knobs["duration"] = 40.0;
+  spec.knobs["fault-node-mtbf"] = 50.0;
+  spec.knobs["fault-node-mttr"] = 6.0;
+  spec.knobs["fault-link-mtbf"] = 30.0;
+  spec.knobs["fault-link-mttr"] = 4.0;
+  spec.knobs["fault-rate-degradation"] = 0.3;
+  spec.faults.push_back({3, sim::FaultEventKind::kNodeDown, 2, 0, 0, 1.0});
+  spec.faults.push_back({9, sim::FaultEventKind::kNodeUp, 2, 0, 0, 1.0});
+  return spec;
+}
+
 TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
-  // Node + link churn plus rate degradation on the three protocols whose
-  // fault phases stress different machinery (ledger purges + generation
-  // masks, gossip's message substrate, the fidelity slice kernels): the
-  // fault trajectory comes from its own keyed streams, so the full
-  // resilience metric set — crashes, purges, availability, recovery
-  // timings in simulated time — must be bit-identical across the
-  // acceptance grid threads {1,2,8} x shards {1,3,16}.
-  for (const std::string protocol : {"balancing", "gossip", "fidelity"}) {
-    ScenarioSpec spec = base_spec(protocol, 16);
-    spec.consumer_pairs = 10;
-    spec.requests = 30;
-    if (protocol == "fidelity") spec.knobs["duration"] = 40.0;
-    spec.knobs["fault-node-mtbf"] = 50.0;
-    spec.knobs["fault-node-mttr"] = 6.0;
-    spec.knobs["fault-link-mtbf"] = 30.0;
-    spec.knobs["fault-link-mttr"] = 4.0;
-    spec.knobs["fault-rate-degradation"] = 0.3;
-    // A scripted crash on top of the stochastic churn exercises the
-    // script cursor alongside the keyed transitions.
-    spec.faults.push_back({3, sim::FaultEventKind::kNodeDown, 2, 0, 0, 1.0});
-    spec.faults.push_back({9, sim::FaultEventKind::kNodeUp, 2, 0, 0, 1.0});
+  // Every fault-capable protocol under churn_spec: the fault trajectory
+  // comes from its own keyed streams, so the full resilience metric set —
+  // crashes, purges, availability, recovery timings in simulated time —
+  // must be bit-identical across the acceptance grid threads {1,2,8} x
+  // shards {1,3,16}.
+  for (const std::string& protocol : kPortedProtocols) {
+    ScenarioSpec spec = churn_spec(protocol);
     std::string reference;
     for (const std::int64_t threads : {1, 2, 8}) {
       for (const std::int64_t shards : {1, 3, 16}) {
@@ -305,6 +309,83 @@ TEST(ParallelDeterminism, FaultChurnStaysDeterministic) {
     const RunMetrics metrics = registry().run(protocol, spec);
     EXPECT_GT(metrics.scalar("node_crashes"), 0.0) << protocol;
     EXPECT_LT(metrics.scalar("availability"), 1.0) << protocol;
+  }
+}
+
+/// churn_spec thinned out so degraded episodes end: rate degradation
+/// degrades every round, so it is off here, and crashes and link downs are
+/// rarer and shorter. time_to_recover only gets samples under this spec.
+ScenarioSpec recovery_spec(const std::string& protocol) {
+  ScenarioSpec spec = churn_spec(protocol);
+  spec.knobs.erase("fault-rate-degradation");
+  spec.knobs["fault-node-mtbf"] = 200.0;
+  spec.knobs["fault-node-mttr"] = 3.0;
+  spec.knobs["fault-link-mtbf"] = 200.0;
+  spec.knobs["fault-link-mttr"] = 3.0;
+  return spec;
+}
+
+/// One protocol's pinned resilience metric set.
+struct ResiliencePin {
+  std::string protocol;
+  double availability;
+  double fault_rounds_degraded;
+  double delivered_under_fault;
+  double node_crashes;
+  double link_downs;
+  double pairs_purged_by_faults;
+  std::size_t recover_count;
+  double recover_mean;
+};
+
+void expect_pinned(const ScenarioSpec& spec, const ResiliencePin& pin) {
+  const RunMetrics metrics = registry().run(spec.protocol, spec);
+  EXPECT_DOUBLE_EQ(metrics.scalar("availability"), pin.availability)
+      << pin.protocol;
+  EXPECT_EQ(metrics.scalar("fault_rounds_degraded"), pin.fault_rounds_degraded)
+      << pin.protocol;
+  EXPECT_EQ(metrics.scalar("delivered_under_fault"), pin.delivered_under_fault)
+      << pin.protocol;
+  EXPECT_EQ(metrics.scalar("node_crashes"), pin.node_crashes) << pin.protocol;
+  EXPECT_EQ(metrics.scalar("link_downs"), pin.link_downs) << pin.protocol;
+  EXPECT_EQ(metrics.scalar("pairs_purged_by_faults"),
+            pin.pairs_purged_by_faults)
+      << pin.protocol;
+  const util::RunningStats& recover = metrics.stats("time_to_recover");
+  EXPECT_EQ(recover.count(), pin.recover_count) << pin.protocol;
+  EXPECT_DOUBLE_EQ(recover.mean(), pin.recover_mean) << pin.protocol;
+}
+
+TEST(ParallelDeterminism, FaultChurnResilienceIsPinned) {
+  // Golden resilience numbers of every fault-capable protocol. The
+  // regression baselines gate only balancing and planned under faults;
+  // this pins the rest, so a change to the shared episode rule or to a
+  // simulator's delivery or purge accounting shows up here.
+  const std::vector<ResiliencePin> churn = {
+      {"balancing", 0.90490611750454131, 127, 30, 34, 83, 742, 0, 0},
+      {"planned", 0.91201608848667626, 51, 30, 16, 31, 405, 0, 0},
+      {"hybrid", 0.91941391941391948, 35, 30, 10, 22, 132, 0, 0},
+      {"gossip", 0.89520202020201878, 264, 30, 76, 181, 1561, 0, 0},
+      {"distributed", 0.89551282051281922, 240, 1, 68, 167, 615, 0, 0},
+      {"fidelity", 0.90897435897435841, 160, 0, 41, 107, 356, 0, 0},
+      {"async_routing", 0.89551282051281922, 240, 30, 68, 167, 789, 0, 0},
+  };
+  for (const ResiliencePin& pin : churn) {
+    expect_pinned(churn_spec(pin.protocol), pin);
+  }
+  const std::vector<ResiliencePin> recovery = {
+      {"balancing", 0.99306999306999311, 10, 14, 1, 3, 6, 3, 3},
+      {"planned", 0.99442586399108135, 5, 2, 1, 1, 4, 2, 0},
+      {"hybrid", 0.99282051282051287, 7, 6, 1, 3, 2, 2, 0},
+      {"gossip", 0.99287749287749261, 15, 6, 1, 4, 6, 3, 1.6666666666666667},
+      {"distributed", 0.98707264957264995, 84, 8, 11, 23, 389, 7,
+       0.39285714285714285},
+      {"fidelity", 0.9908653846153852, 56, 2, 6, 13, 199, 2, 3.125},
+      {"async_routing", 0.98707264957264995, 84, 10, 11, 23, 643, 15,
+       0.98333333333333339},
+  };
+  for (const ResiliencePin& pin : recovery) {
+    expect_pinned(recovery_spec(pin.protocol), pin);
   }
 }
 

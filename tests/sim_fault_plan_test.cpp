@@ -2,7 +2,8 @@
 // stochastic churn. The contract the drivers lean on: advance() is a pure
 // function of (seed, round, script), crashed lists come back sorted, edge
 // availability is link-up AND both endpoints up, and an all-defaults
-// config is exactly "no faults".
+// config is exactly "no faults". sim::Resilience: the episode rule every
+// simulator's delivered_under_fault and time_to_recover follow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,6 +180,81 @@ TEST(FaultPlan, AvailabilityTracksDowntimeExactly) {
   for (std::uint64_t round = 1; round <= 4; ++round) plan.advance(round);
   EXPECT_DOUBLE_EQ(plan.stats().availability(), (1.0 + 0.9 + 0.9 + 1.0) / 4.0);
   EXPECT_EQ(plan.stats().degraded_rounds, 2u);
+}
+
+TEST(Resilience, DeliveryWhileDegradedCountsUnderFault) {
+  Resilience resilience;
+  resilience.note_round(false, 1.0);
+  resilience.note_delivery(1.0);
+  EXPECT_EQ(resilience.delivered_under_fault, 0u);
+  resilience.note_round(true, 2.0);
+  resilience.note_delivery(2.0);
+  resilience.note_delivery(2.0);
+  EXPECT_EQ(resilience.delivered_under_fault, 2u);
+}
+
+TEST(Resilience, OnlyFirstDeliveryAfterEpisodeSamplesRecovery) {
+  Resilience resilience;
+  resilience.note_round(true, 3.0);
+  resilience.note_round(true, 4.0);
+  resilience.note_round(false, 5.0);  // the episode ends here
+  resilience.note_round(false, 6.0);
+  resilience.note_round(false, 7.5);
+  resilience.note_delivery(7.5);
+  resilience.note_delivery(7.5);
+  resilience.note_round(false, 9.0);
+  resilience.note_delivery(9.0);
+  ASSERT_EQ(resilience.time_to_recover.count(), 1u);
+  EXPECT_DOUBLE_EQ(resilience.time_to_recover.mean(), 2.5);
+  EXPECT_EQ(resilience.delivered_under_fault, 0u);
+}
+
+TEST(Resilience, SecondEpisodeBeforeDeliveryRetimesFromLaterEnd) {
+  Resilience resilience;
+  resilience.note_round(true, 1.0);
+  resilience.note_round(false, 2.0);  // first episode ends, no delivery
+  resilience.note_round(true, 3.0);
+  resilience.note_round(false, 6.0);  // second episode ends
+  resilience.note_round(false, 7.0);
+  resilience.note_delivery(7.0);
+  ASSERT_EQ(resilience.time_to_recover.count(), 1u);
+  EXPECT_DOUBLE_EQ(resilience.time_to_recover.mean(), 1.0);
+}
+
+TEST(Resilience, NoEpisodeMeansNoRecoverySample) {
+  Resilience resilience;
+  for (int round = 1; round <= 5; ++round) {
+    resilience.note_round(false, round);
+    resilience.note_delivery(round);
+  }
+  EXPECT_EQ(resilience.time_to_recover.count(), 0u);
+  // An episode still running at the end of the run never samples either.
+  resilience.note_round(true, 6.0);
+  resilience.note_delivery(6.0);
+  EXPECT_EQ(resilience.time_to_recover.count(), 0u);
+  EXPECT_EQ(resilience.delivered_under_fault, 1u);
+}
+
+TEST(Resilience, AbsorbCopiesFaultStats) {
+  Resilience resilience;
+  resilience.absorb(FaultStats{});
+  EXPECT_DOUBLE_EQ(resilience.availability, 1.0);
+  EXPECT_EQ(resilience.fault_rounds_degraded, 0u);
+
+  FaultStats stats;
+  stats.rounds = 4;
+  stats.availability_sum = 3.0;
+  stats.degraded_rounds = 2;
+  stats.node_crashes = 3;
+  stats.link_downs = 5;
+  resilience.pairs_purged_by_faults = 7;
+  resilience.absorb(stats);
+  EXPECT_DOUBLE_EQ(resilience.availability, 0.75);
+  EXPECT_EQ(resilience.fault_rounds_degraded, 2u);
+  EXPECT_EQ(resilience.node_crashes, 3u);
+  EXPECT_EQ(resilience.link_downs, 5u);
+  // Purges are the simulator's own count; absorb leaves them alone.
+  EXPECT_EQ(resilience.pairs_purged_by_faults, 7u);
 }
 
 }  // namespace
