@@ -1,17 +1,21 @@
 #include "core/gossip.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 #include <vector>
 
 #include "net/message.hpp"
 #include "sim/network_state.hpp"
+#include "sim/vertex_program.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 
 namespace poq::core {
 
 namespace {
+
+/// Default nodes per shard of the send and install kernels.
+constexpr std::size_t kReportGrain = 32;
 
 /// Per-node stale views of everyone else's count rows.
 class KnowledgeBase {
@@ -21,13 +25,14 @@ class KnowledgeBase {
         counts_(node_count * node_count * node_count, 0),
         age_(node_count * node_count, 0) {}
 
-  /// Install reporter's row as seen by `owner` at `round`.
-  void install(NodeId owner, NodeId reporter, const std::vector<std::uint32_t>& row,
-               std::uint32_t round) {
-    for (NodeId peer = 0; peer < node_count_; ++peer) {
-      counts_[flat(owner, reporter, peer)] = row[peer];
+  /// Install `update`, the reporter's row sent at round `update.version`,
+  /// as seen by `owner`.
+  void install(NodeId owner, const net::CountUpdate& update) {
+    for (const net::CountUpdate::Entry& entry : update.entries) {
+      counts_[flat(owner, update.reporter, entry.peer)] = entry.count;
     }
-    age_[static_cast<std::size_t>(owner) * node_count_ + reporter] = round;
+    age_[static_cast<std::size_t>(owner) * node_count_ + update.reporter] =
+        static_cast<std::uint32_t>(update.version);
   }
 
   [[nodiscard]] std::uint32_t view(NodeId owner, NodeId a, NodeId b) const {
@@ -57,6 +62,7 @@ class KnowledgeBase {
 std::vector<NodeId> gossip_targets(NodeId x, std::uint32_t round, NodeId node_count,
                                    const GossipConfig& config, util::Rng& rng) {
   std::vector<NodeId> targets;
+  targets.reserve(config.fanout + 1);
   for (std::uint32_t k = 0; k < config.fanout; ++k) {
     const auto offset = 1 + (static_cast<std::uint64_t>(round) * config.fanout + k) %
                                 (node_count - 1);
@@ -90,35 +96,40 @@ net::CountUpdate count_update_of(const PairLedger& ledger, NodeId x,
 }  // namespace
 
 // Gossip as phase kernels over the shared NetworkState. Per round:
-// generation kernel (keyed per-edge streams) -> send kernel (canonical
-// node order; the optimistic peer draws from a per-(round, node) keyed
-// stream) -> message-merge kernel (deliveries applied in canonical (send
-// round, sender, target) order) -> decide kernel (best preferable swap
-// under stale views, fanned over node shards against the frozen ledger)
-// -> two-level commit (re-checked against live own counts and the frozen
-// view). Results are bit-identical for every threads/shards setting.
+// generation kernel (keyed per-edge streams) -> send kernel (count rows
+// mailed through the vertex program; the optimistic peer draws from a
+// per-(round, node) keyed stream) -> deliver + install kernel (the
+// substrate's canonical (send round, sender, send index) merge) ->
+// decide kernel (best preferable swap under stale views, fanned over node
+// shards against the frozen ledger) -> two-level commit (re-checked
+// against live own counts and the frozen view). Results are bit-identical
+// for every threads/shards setting.
 GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& workload,
                         const GossipConfig& config) {
   require(config.fanout >= 1, "GossipConfig: fanout must be >= 1");
   require(config.latency_per_hop >= 0.0, "GossipConfig: negative latency");
+  const auto node_count = static_cast<NodeId>(generation_graph.node_count());
+  require(config.fanout <= node_count - 1,
+          "GossipConfig: fanout must be <= node_count - 1");
   BalancingSimulation sim(generation_graph, workload, config.base);
   sim::NetworkState& state = sim.state();
-  const auto node_count = static_cast<NodeId>(generation_graph.node_count());
 
   KnowledgeBase knowledge(node_count);
   const auto& distances = sim.distances();
 
-  /// One count row in flight: due round, canonical (sender, target) key.
-  /// The row is immutable once sent, so the (fanout+1) copies of a
-  /// round's report share one allocation.
-  struct PendingUpdate {
-    double due = 0.0;
-    NodeId sender = 0;
-    NodeId target = 0;
-    std::uint32_t version = 0;
-    std::shared_ptr<const std::vector<std::uint32_t>> row;
-  };
-  std::vector<PendingUpdate> pending;
+  // The report kernels cost O(n) per node, far below the decide scan, so
+  // they take a chunk grain like the engine's own kernels: a small
+  // network runs them inline instead of paying two pool handshakes a
+  // round. The shard count never affects results.
+  const std::size_t grain = sim::ParallelTickEngine::resolve_grain(
+      config.base.tick.shards, node_count, kReportGrain);
+  // Epoch = round. A round's sends run before its deliver, while the
+  // program still sits at the previous epoch, so a report sent in round r
+  // that is due at ceil(r + latency * hops) — the sum taken in double —
+  // is at least one epoch out, and latency 0 still installs in round r.
+  using Program = sim::VertexProgram<net::CountUpdate>;
+  Program program(node_count, &state.pool(), (node_count + grain - 1) / grain);
+  std::vector<std::uint64_t> shard_bytes(program.shard_count(), 0);
 
   GossipResult result;
   double view_age_total = 0.0;
@@ -129,55 +140,54 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
     sim.begin_round();
     sim.fault_phase();
     const auto round = static_cast<std::uint32_t>(sim.round());
-    const double now = static_cast<double>(round);
 
     sim.generation_phase();
 
     // 1. Send kernel: count rows to the rotating window (+ one optimistic
-    // peer from a keyed stream), in canonical node order.
-    for (NodeId x = 0; x < node_count; ++x) {
-      util::Rng peer_rng = util::Rng::keyed(config.base.seed,
-                                            sim::stream_tag::kGossip, round, x);
-      const std::vector<NodeId> targets =
-          gossip_targets(x, round, node_count, config, peer_rng);
-      const net::CountUpdate update =
-          count_update_of(sim.ledger(), x, node_count, round);
-      std::vector<std::uint32_t> row_values(node_count, 0);
-      for (const auto& entry : update.entries) row_values[entry.peer] = entry.count;
-      const auto row = std::make_shared<const std::vector<std::uint32_t>>(
-          std::move(row_values));
-      const std::size_t bytes = net::encoded_size(update);
-      for (NodeId target : targets) {
-        ++result.control_messages;
-        result.control_bytes += bytes;
-        pending.push_back(PendingUpdate{
-            now + config.latency_per_hop * static_cast<double>(distances[x][target]),
-            x, target, round, row});
+    // peer from a keyed stream), over ascending node shards.
+    program.run_kernel([&](std::size_t shard, Program::Context& ctx) {
+      const auto [begin, end] = sim::ParallelTickEngine::shard_range(
+          node_count, program.shard_count(), shard);
+      for (auto x = static_cast<NodeId>(begin); x < end; ++x) {
+        util::Rng peer_rng = util::Rng::keyed(config.base.seed,
+                                              sim::stream_tag::kGossip, round, x);
+        const std::vector<NodeId> targets =
+            gossip_targets(x, round, node_count, config, peer_rng);
+        net::CountUpdate update =
+            count_update_of(sim.ledger(), x, node_count, round);
+        shard_bytes[shard] += net::encoded_size(update) * targets.size();
+        for (std::size_t k = 0; k < targets.size(); ++k) {
+          const double due = static_cast<double>(round) +
+                             config.latency_per_hop *
+                                 static_cast<double>(distances[x][targets[k]]);
+          // The last target takes the row itself, the others a copy.
+          ctx.send(targets[k],
+                   static_cast<std::uint64_t>(std::ceil(due)) - (round - 1),
+                   k + 1 < targets.size() ? update : std::move(update));
+        }
       }
-    }
+    });
 
-    // 2. Merge kernel: everything due by this round installs in insertion
-    // order — send round, then canonical sender, then target. A report's
-    // latency to a fixed target never varies, so per (owner, reporter)
-    // installs are already in send order; the canonical order fixes the
-    // rest deterministically.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      PendingUpdate& message = pending[i];
-      if (message.due <= now) {
-        knowledge.install(message.target, message.sender, *message.row,
-                          message.version);
-        // An install changes what the owner reads at decide time (its
-        // beneficiary views, including the freshness tie-break), so the
-        // incremental decide must re-run it even if no ledger count it
-        // reads moved.
-        sim.ledger().mark_dirty(message.target);
-        continue;
-      }
-      if (kept != i) pending[kept] = std::move(message);
-      ++kept;
+    // 2. Install kernel: each owner folds its inbox in the canonical
+    // order, so per (owner, reporter) installs land in send order.
+    const std::vector<std::uint32_t>& active = program.deliver(round);
+    if (!active.empty()) {
+      program.run_kernel([&](std::size_t shard, Program::Context&) {
+        const auto [begin, end] = sim::ParallelTickEngine::shard_range(
+            active.size(), program.shard_count(), shard);
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId owner = active[i];
+          for (const net::CountUpdate& update : program.inbox(owner)) {
+            knowledge.install(owner, update);
+          }
+          // An install changes what the owner reads at decide time (its
+          // beneficiary views, including the freshness tie-break), so the
+          // incremental decide must re-run it even if no ledger count it
+          // reads moved.
+          sim.ledger().mark_dirty(owner);
+        }
+      });
     }
-    pending.resize(kept);
 
     // 3. Decide + two-level commit under stale beneficiary views. The
     // decide scan reads the frozen post-generation ledger; the commit
@@ -212,6 +222,8 @@ GossipResult run_gossip(const graph::Graph& generation_graph, const Workload& wo
   }
 
   result.base = sim.result();
+  result.control_messages = program.messages_sent();
+  for (const std::uint64_t bytes : shard_bytes) result.control_bytes += bytes;
   result.mean_view_age =
       view_age_samples > 0 ? view_age_total / static_cast<double>(view_age_samples)
                            : 0.0;

@@ -10,11 +10,12 @@
 // counts are always ground truth — it owns those qubits). Classical
 // overhead is accounted in encoded bytes per message.
 //
-// The round runs as phase kernels on the sharded engine — deterministic
-// per-round message merge in canonical sender order, swap decisions
-// fanned over node shards against the frozen ledger, and the two-level
-// commit — so results are bit-identical for every threads/shards setting
-// (see docs/ARCHITECTURE.md).
+// The round runs as phase kernels on the sharded engine. Count reports
+// travel through the sim::VertexProgram message substrate, one epoch per
+// round, and install in its canonical (send round, sender, send index)
+// order; swap decisions fan over node shards against the frozen ledger,
+// then the two-level commit. Results are bit-identical for every
+// threads/shards setting (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,8 @@ namespace poq::core {
 
 struct GossipConfig {
   BalancingConfig base;
-  /// Rotating peers contacted per round (the unchoke window size).
+  /// Rotating peers contacted per round (the unchoke window size), in
+  /// [1, node_count - 1].
   std::uint32_t fanout = 2;
   /// Also contact one uniformly random peer per round ("optimistic
   /// unchoke").

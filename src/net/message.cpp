@@ -6,13 +6,7 @@ namespace poq::net {
 
 MessageType message_type(const Message& message) {
   struct Visitor {
-    MessageType operator()(const SwapNotify&) const { return MessageType::kSwapNotify; }
     MessageType operator()(const CountUpdate&) const { return MessageType::kCountUpdate; }
-    MessageType operator()(const PathReserve&) const { return MessageType::kPathReserve; }
-    MessageType operator()(const PathRelease&) const { return MessageType::kPathRelease; }
-    MessageType operator()(const GossipControl&) const {
-      return MessageType::kGossipControl;
-    }
     MessageType operator()(const PairUpdate&) const { return MessageType::kPairUpdate; }
     MessageType operator()(const ConsumeOffer&) const {
       return MessageType::kConsumeOffer;
@@ -26,16 +20,24 @@ MessageType message_type(const Message& message) {
 
 namespace {
 
-void encode_body(ByteWriter& out, const SwapNotify& m) {
-  out.write_varint(m.repeater);
-  out.write_varint(m.left);
-  out.write_varint(m.right);
-  // The paper's "only 2 bits of classical information": packed into one
-  // byte on the wire (bit 0 = z, bit 1 = x).
-  out.write_u8(static_cast<std::uint8_t>((m.z_bit ? 1 : 0) | (m.x_bit ? 2 : 0)));
-}
+/// Counts the bytes a ByteWriter would append, without storing them.
+class ByteCounter {
+ public:
+  void write_u8(std::uint8_t) { ++size_; }
+  void write_varint(std::uint64_t value) {
+    do {
+      ++size_;
+      value >>= 7;
+    } while (value != 0);
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
-void encode_body(ByteWriter& out, const CountUpdate& m) {
+ private:
+  std::size_t size_ = 0;
+};
+
+template <typename Writer>
+void encode_body(Writer& out, const CountUpdate& m) {
   out.write_varint(m.reporter);
   out.write_varint(m.version);
   out.write_varint(m.entries.size());
@@ -45,32 +47,19 @@ void encode_body(ByteWriter& out, const CountUpdate& m) {
   }
 }
 
-void encode_body(ByteWriter& out, const PathReserve& m) {
-  out.write_varint(m.request_id);
-  out.write_varint(m.path.size());
-  for (NodeId node : m.path) out.write_varint(node);
-}
-
-void encode_body(ByteWriter& out, const PathRelease& m) {
-  out.write_varint(m.request_id);
-  out.write_u8(m.completed ? 1 : 0);
-}
-
-void encode_body(ByteWriter& out, const GossipControl& m) {
-  out.write_varint(m.from);
-  out.write_varint(m.to);
-  out.write_u8(m.unchoke ? 1 : 0);
-}
-
-void encode_body(ByteWriter& out, const PairUpdate& m) {
+template <typename Writer>
+void encode_body(Writer& out, const PairUpdate& m) {
   out.write_varint(m.to);
   out.write_varint(m.new_partner);
   out.write_varint(m.qubit);
   out.write_varint(m.new_partner_qubit);
+  // The paper's "only 2 bits of classical information": packed into one
+  // byte on the wire (bit 0 = z, bit 1 = x).
   out.write_u8(static_cast<std::uint8_t>((m.z_bit ? 1 : 0) | (m.x_bit ? 2 : 0)));
 }
 
-void encode_body(ByteWriter& out, const ConsumeOffer& m) {
+template <typename Writer>
+void encode_body(Writer& out, const ConsumeOffer& m) {
   out.write_varint(m.from);
   out.write_varint(m.to);
   out.write_varint(m.request_id);
@@ -78,19 +67,25 @@ void encode_body(ByteWriter& out, const ConsumeOffer& m) {
   out.write_varint(m.responder_qubit);
 }
 
-void encode_body(ByteWriter& out, const ConsumeReply& m) {
+template <typename Writer>
+void encode_body(Writer& out, const ConsumeReply& m) {
   out.write_varint(m.from);
   out.write_varint(m.to);
   out.write_varint(m.request_id);
   out.write_u8(m.accept ? 1 : 0);
 }
 
+template <typename Writer>
+void encode_into(Writer& out, const Message& message) {
+  out.write_u8(static_cast<std::uint8_t>(message_type(message)));
+  std::visit([&out](const auto& body) { encode_body(out, body); }, message);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const Message& message) {
   ByteWriter out;
-  out.write_u8(static_cast<std::uint8_t>(message_type(message)));
-  std::visit([&out](const auto& body) { encode_body(out, body); }, message);
+  encode_into(out, message);
   return out.bytes();
 }
 
@@ -98,16 +93,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
   ByteReader in(bytes);
   const auto type = static_cast<MessageType>(in.read_u8());
   switch (type) {
-    case MessageType::kSwapNotify: {
-      SwapNotify m;
-      m.repeater = static_cast<NodeId>(in.read_varint());
-      m.left = static_cast<NodeId>(in.read_varint());
-      m.right = static_cast<NodeId>(in.read_varint());
-      const std::uint8_t bits = in.read_u8();
-      m.z_bit = (bits & 1) != 0;
-      m.x_bit = (bits & 2) != 0;
-      return m;
-    }
     case MessageType::kCountUpdate: {
       CountUpdate m;
       m.reporter = static_cast<NodeId>(in.read_varint());
@@ -120,29 +105,6 @@ Message decode(std::span<const std::uint8_t> bytes) {
         entry.count = static_cast<std::uint32_t>(in.read_varint());
         m.entries.push_back(entry);
       }
-      return m;
-    }
-    case MessageType::kPathReserve: {
-      PathReserve m;
-      m.request_id = in.read_varint();
-      const std::uint64_t length = in.read_varint();
-      m.path.reserve(length);
-      for (std::uint64_t i = 0; i < length; ++i) {
-        m.path.push_back(static_cast<NodeId>(in.read_varint()));
-      }
-      return m;
-    }
-    case MessageType::kPathRelease: {
-      PathRelease m;
-      m.request_id = in.read_varint();
-      m.completed = in.read_u8() != 0;
-      return m;
-    }
-    case MessageType::kGossipControl: {
-      GossipControl m;
-      m.from = static_cast<NodeId>(in.read_varint());
-      m.to = static_cast<NodeId>(in.read_varint());
-      m.unchoke = in.read_u8() != 0;
       return m;
     }
     case MessageType::kPairUpdate: {
@@ -177,6 +139,10 @@ Message decode(std::span<const std::uint8_t> bytes) {
   throw PreconditionError("decode: unknown message type tag");
 }
 
-std::size_t encoded_size(const Message& message) { return encode(message).size(); }
+std::size_t encoded_size(const Message& message) {
+  ByteCounter out;
+  encode_into(out, message);
+  return out.size();
+}
 
 }  // namespace poq::net

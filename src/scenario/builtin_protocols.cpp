@@ -12,6 +12,7 @@
 //     "starved" (1 when no satisfied request was costed), and overhead
 //     metrics only when the denominator is positive, so sweep aggregation
 //     reproduces the benches' starved-cell semantics.
+#include <limits>
 #include <memory>
 
 #include "core/async_routing.hpp"
@@ -72,6 +73,19 @@ sim::TickConcurrency tick_from_spec(const std::string& protocol,
         "'"));
   }
   return tick;
+}
+
+/// Integer knob `name` as a uint32. A value outside [minimum, UINT32_MAX]
+/// is rejected rather than wrapped by the cast.
+std::uint32_t knob_u32(const ScenarioSpec& spec, const std::string& name,
+                       std::int64_t fallback, std::uint32_t minimum) {
+  const std::int64_t value = spec.knob_int(name, fallback);
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (value < minimum || value > kMax) {
+    throw PreconditionError(util::str_cat("knob '", name, "' must be in [",
+                                          minimum, ", ", kMax, "], got ", value));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 /// Fault-injection knobs shared by every simulator protocol (everything
@@ -195,9 +209,8 @@ void add_balancing_fault_metrics(RunMetrics& metrics,
 core::BalancingConfig balancing_config(const ScenarioSpec& spec) {
   core::BalancingConfig config;
   config.distillation = spec.knob_double("distillation", 1.0);
-  config.max_rounds = static_cast<std::uint32_t>(spec.knob_int("max-rounds", 50000));
-  config.swaps_per_node_per_round =
-      static_cast<std::uint32_t>(spec.knob_int("swap-rate", 1));
+  config.max_rounds = knob_u32(spec, "max-rounds", 50000, 0);
+  config.swaps_per_node_per_round = knob_u32(spec, "swap-rate", 1, 0);
   config.generation_per_edge_per_round = spec.knob_double("generation-rate", 1.0);
   config.seed = spec.seed;
   const std::int64_t detour_slack = spec.knob_int("detour-slack", -1);
@@ -297,9 +310,8 @@ class PlannedProtocol final : public Protocol {
   RunMetrics run(const ScenarioSpec& spec) const override {
     core::PlannedPathConfig config;
     config.distillation = spec.knob_double("distillation", 1.0);
-    config.window = static_cast<std::uint32_t>(spec.knob_int("window", 4));
-    config.max_rounds =
-        static_cast<std::uint32_t>(spec.knob_int("max-rounds", 200000));
+    config.window = knob_u32(spec, "window", 4, 1);
+    config.max_rounds = knob_u32(spec, "max-rounds", 200000, 0);
     config.seed = spec.seed;
     config.tick = tick_from_spec("planned", spec);
     config.faults = fault_config_from_spec(spec);
@@ -349,8 +361,7 @@ class HybridProtocol final : public Protocol {
     core::HybridConfig config;
     config.base = balancing_config(spec);
     config.base.tick = tick_from_spec("hybrid", spec);
-    config.max_assist_hops =
-        static_cast<std::uint32_t>(spec.knob_int("max-assist-hops", 8));
+    config.max_assist_hops = knob_u32(spec, "max-assist-hops", 8, 0);
     const ScenarioInstance instance = instantiate(spec);
     const core::HybridResult result =
         core::run_hybrid(instance.graph, instance.workload, config);
@@ -386,7 +397,7 @@ class GossipProtocol final : public Protocol {
     core::GossipConfig config;
     config.base = balancing_config(spec);
     config.base.tick = tick_from_spec("gossip", spec);
-    config.fanout = static_cast<std::uint32_t>(spec.knob_int("fanout", 2));
+    config.fanout = knob_u32(spec, "fanout", 2, 1);
     config.optimistic_peer = spec.knob_bool("optimistic-peer", true);
     config.latency_per_hop = spec.knob_double("latency", 1.0);
     const ScenarioInstance instance = instantiate(spec);

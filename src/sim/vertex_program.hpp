@@ -4,8 +4,10 @@
 // control-plane protocols (distributed, async_routing) share nothing —
 // each node owns local state, learns about the rest of the network only
 // through typed messages, and acts when something it can observe changed.
-// VertexProgram is the substrate for that second family, in the
-// signal/apply/scatter shape of GraphLab-style vertex programs:
+// Gossip sits between the two: its swaps run on the ledger, but each
+// node's stale views arrive only as mailed count reports. VertexProgram
+// is the one message substrate for all three, in the signal/apply/scatter
+// shape of GraphLab-style vertex programs:
 //
 //   * nodes hold local state (owned by the driver, one slot per vertex);
 //   * an *apply* kernel consumes each vertex's inbox and may mutate only

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/workload.hpp"
 #include "graph/topology.hpp"
 #include "util/error.hpp"
@@ -95,6 +97,44 @@ TEST(Gossip, StillCompletesWithDistillation) {
   config.base.max_rounds = 200000;
   const GossipResult result = run_gossip(graph, workload, config);
   EXPECT_TRUE(result.base.completed);
+}
+
+TEST(Gossip, DeliveryRoundIsPinned) {
+  // A report sent in round r installs in round ceil(r + latency * hops),
+  // the sum taken in double. The 50-cycle's antipodes sit 25 hops apart,
+  // and 0.28 * 25 = 7.000000000000001: for r >= 1 the sum rounds to an
+  // integer and the report lands after 7 rounds, where a per-hop
+  // ceil(latency * hops) delay would say 8. Latency 0 installs in the
+  // send round; 1.5 exercises fractional dues on a short cycle.
+  struct Pin {
+    std::size_t nodes;
+    double latency;
+    std::uint32_t rounds;
+    std::uint64_t swaps;
+    std::uint64_t control_messages;
+    std::uint64_t control_bytes;
+    double mean_view_age;
+  };
+  const std::vector<Pin> pins = {
+      {50, 0.28, 493, 21580, 73950, 7597800, 9.183503243744207},
+      {10, 0.0, 25, 149, 750, 16500, 0.95302013422818788},
+      {10, 1.5, 29, 178, 870, 19140, 3.207865168539326},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << pin.nodes << " nodes, latency " << pin.latency);
+    const graph::Graph graph = graph::make_cycle(pin.nodes);
+    const Workload workload = workload_for(pin.nodes, 20, 8);
+    GossipConfig config;
+    config.base.seed = 17;
+    config.latency_per_hop = pin.latency;
+    const GossipResult result = run_gossip(graph, workload, config);
+    ASSERT_TRUE(result.base.completed);
+    EXPECT_EQ(result.base.rounds, pin.rounds);
+    EXPECT_EQ(result.base.swaps_performed, pin.swaps);
+    EXPECT_EQ(result.control_messages, pin.control_messages);
+    EXPECT_EQ(result.control_bytes, pin.control_bytes);
+    EXPECT_DOUBLE_EQ(result.mean_view_age, pin.mean_view_age);
+  }
 }
 
 TEST(Gossip, RejectsZeroFanout) {

@@ -4,6 +4,8 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/protocol.hpp"
 #include "util/error.hpp"
@@ -94,6 +96,38 @@ TEST(ScenarioSpec, RegistryRejectsKnobTypeMismatch) {
   EXPECT_NE(message.find("max-rounds"), std::string::npos);
   EXPECT_NE(message.find("int"), std::string::npos);
   EXPECT_NE(message.find("many"), std::string::npos);
+}
+
+TEST(ScenarioSpec, RegistryRejectsOutOfRangeIntegerKnobs) {
+  // Unsigned 32-bit knobs are range-checked, not cast: -1 must not become
+  // 4294967295 and 2^32 + 2 must not become 2.
+  const std::vector<std::pair<std::string, std::string>> knobs = {
+      {"gossip", "fanout"},      {"balancing", "max-rounds"},
+      {"balancing", "swap-rate"}, {"planned", "window"},
+      {"hybrid", "max-assist-hops"},
+  };
+  for (const auto& [protocol, knob] : knobs) {
+    for (const std::int64_t value : {std::int64_t{-1}, std::int64_t{4294967298}}) {
+      ScenarioSpec spec;
+      spec.nodes = 9;
+      spec.requests = 5;
+      spec.knobs[knob] = value;
+      const std::string message =
+          message_of([&] { (void)registry().run(protocol, spec); });
+      EXPECT_NE(message.find("knob '" + knob + "' must be in"), std::string::npos)
+          << protocol << " " << knob << "=" << value << ": " << message;
+    }
+  }
+  // A gossip node has node_count - 1 peers to rotate through.
+  ScenarioSpec spec;
+  spec.nodes = 9;
+  spec.requests = 5;
+  spec.knobs["fanout"] = std::int64_t{8};
+  EXPECT_EQ(message_of([&] { (void)registry().run("gossip", spec); }), "");
+  spec.knobs["fanout"] = std::int64_t{9};
+  EXPECT_NE(message_of([&] { (void)registry().run("gossip", spec); })
+                .find("fanout must be <= node_count - 1"),
+            std::string::npos);
 }
 
 TEST(ScenarioSpec, RegistryAcceptsIntForDoubleKnob) {
