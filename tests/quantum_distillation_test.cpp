@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -108,6 +109,18 @@ TEST(NestedCost, CostAtLeastTwoPerRound) {
 TEST(NestedCost, UnreachableBelowThreshold) {
   const DistillationCost cost = nested_distillation_cost(0.45, 0.9);
   EXPECT_FALSE(cost.reachable);
+}
+
+TEST(NestedCost, ExceedsFivePairsOverPaperFidelityRange) {
+  // The paper sweeps D = 1..5. Nested BBPSSW already costs more than five
+  // raw pairs for raw 0.90 -> target 0.95 (about 10.8) and for raw
+  // 0.95 -> target 0.99 (about 38.4), so D <= 5 does not correspond to
+  // raw links of 0.90-0.95 against a 0.95-0.99 target.
+  for (const auto& [raw, target] : {std::pair{0.90, 0.95}, std::pair{0.95, 0.99}}) {
+    const DistillationCost cost = nested_distillation_cost(raw, target);
+    ASSERT_TRUE(cost.reachable) << raw << " -> " << target;
+    EXPECT_GT(cost.expected_raw_pairs, 5.0) << raw << " -> " << target;
+  }
 }
 
 TEST(PumpingCost, ReachesModestTargets) {

@@ -1,12 +1,12 @@
-// run_benches — machine-readable driver for the figure benches.
+// run_benches — the one driver that reproduces the paper's figures and
+// ablations.
 //
 // Every suite is a grid of ScenarioSpecs fanned through the parallel
-// scenario::SweepRunner (multi-seed cells used to run serially; the pool
-// is the first real speedup lever for the figure sweeps) and lands in one
-// unified BENCH_<suite>.json schema: per cell the full spec, the
-// aggregated metrics (count/mean/stddev/min/max per scalar), and wall
-// time. Suites cover the paper figures (Fig. 4/5) and the ablation /
-// baseline / knowledge / fidelity studies that used to be table-only.
+// scenario::SweepRunner and lands in one unified BENCH_<suite>.json
+// schema: per cell the full spec, the labels, the aggregated metrics
+// (count/mean/stddev/min/max per scalar), and wall time. Suites cover the
+// paper figures (Fig. 4/5), the §5 rate and §2 latency claims, the §3 LP,
+// and the ablation / baseline / knowledge / fidelity studies.
 //
 // Usage: run_benches [--quick] [--out-dir DIR] [--suite NAME] [--threads N]
 //                    [--intra-threads K] [--check BASELINE.json] [--rel-tol X]
@@ -14,14 +14,15 @@
 //   --quick     smaller sweeps and one seed per cell (the `bench` target's
 //               default); omit for the full paper-scale grids
 //   --out-dir   where to write BENCH_*.json (default: current directory)
-//   --suite     run one suite (unique substring of its name; default all)
+//   --suite     run every suite whose name contains NAME (default all)
 //   --threads   sweep worker threads (default 0 = hardware concurrency)
 //   --intra-threads  intra-run threads for the ported protocols
 //               (balancing/planned/hybrid); auto-sized pools divide by
 //               this so pool x intra-run stays within the hardware budget
 //   --check     after running, diff the matching suite's cells against a
-//               committed baseline JSON with a relative tolerance; exits
-//               nonzero on regression (the CI perf/correctness gate)
+//               committed baseline JSON (labels exactly, metric means
+//               within a relative tolerance); exits nonzero on regression
+//               (the CI perf/correctness gate)
 //   --rel-tol   relative tolerance for --check (default 0.2)
 //   --poqsim    path to the poqsim binary, used by the serve suite's cold
 //               per-process comparison (default ./poqsim; the cold timing
@@ -38,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "common.hpp"
+#include "graph/topology.hpp"
 #include "scenario/protocol.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -145,6 +146,30 @@ void write_suite(const SuiteRun& run, const Options& options) {
 // Suites
 // ---------------------------------------------------------------------------
 
+/// The paper's §5 setup: 35 consumer pairs, a request backlog that never
+/// drains within the fixed simulated-round budget, strict in-order
+/// satisfaction.
+struct FigureSetup {
+  std::size_t backlog = 1000000;
+  std::uint32_t round_budget = 6000;
+};
+
+/// The balancing spec of one figure cell: `family` over n nodes at
+/// distillation D.
+scenario::ScenarioSpec balancing_cell_spec(graph::TopologyFamily family, std::size_t n,
+                                           double distillation, const FigureSetup& setup) {
+  scenario::ScenarioSpec spec;
+  spec.protocol = "balancing";
+  spec.topology = graph::family_name(family);
+  spec.nodes = n;
+  spec.consumer_pairs = 35;  // instantiate clamps to C(n,2)
+  spec.requests = setup.backlog;
+  spec.seed = 1000;
+  spec.knobs["distillation"] = distillation;
+  spec.knobs["max-rounds"] = static_cast<std::int64_t>(setup.round_budget);
+  return spec;
+}
+
 scenario::ScenarioSpec finite_spec(const std::string& protocol, std::size_t nodes,
                                    std::size_t requests, std::uint64_t base_seed) {
   scenario::ScenarioSpec spec;
@@ -159,7 +184,7 @@ scenario::ScenarioSpec finite_spec(const std::string& protocol, std::size_t node
 }
 
 SuiteRun suite_fig4(const Options& options) {
-  bench::FigureSetup setup;
+  FigureSetup setup;
   setup.round_budget = options.quick ? 2000 : 6000;
   const std::uint32_t seeds = options.quick ? 1 : 3;
   const std::vector<double> distillations =
@@ -168,14 +193,14 @@ SuiteRun suite_fig4(const Options& options) {
   std::vector<scenario::ScenarioSpec> grid;
   for (const double d : distillations) {
     for (const auto family : kFigureFamilies) {
-      grid.push_back(bench::balancing_cell_spec(family, 25, d, setup));
+      grid.push_back(balancing_cell_spec(family, 25, d, setup));
     }
   }
   return run_grid("fig4_overhead_vs_distillation", std::move(grid), seeds, options);
 }
 
 SuiteRun suite_fig5(const Options& options) {
-  bench::FigureSetup setup;
+  FigureSetup setup;
   setup.round_budget = options.quick ? 1000 : 3000;
   const std::uint32_t seeds = options.quick ? 1 : 3;
   const std::vector<std::size_t> sizes =
@@ -184,7 +209,7 @@ SuiteRun suite_fig5(const Options& options) {
   std::vector<scenario::ScenarioSpec> grid;
   for (const std::size_t n : sizes) {
     for (const auto family : kFigureFamilies) {
-      grid.push_back(bench::balancing_cell_spec(family, n, 1.0, setup));
+      grid.push_back(balancing_cell_spec(family, n, 1.0, setup));
     }
   }
   return run_grid("fig5_overhead_vs_nodes", std::move(grid), seeds, options);
@@ -272,6 +297,87 @@ SuiteRun suite_fidelity_decay(const Options& options) {
   return run_grid("fidelity_decay", std::move(grid), 1, options);
 }
 
+SuiteRun suite_ablation_rates(const Options& options) {
+  // §5: "All nodes perform the swapping process at an identical rate. We
+  // found that varying this rate did not significantly alter the
+  // results." Sweeps the per-node swap rate at the paper's generation
+  // rate, then the per-edge generation rate at the paper's swap rate.
+  const std::size_t requests = options.quick ? 40 : 120;
+  const std::uint32_t seeds = options.quick ? 1 : 3;
+  std::vector<scenario::ScenarioSpec> grid;
+  const auto add_cell = [&](std::int64_t swap_rate, double generation_rate) {
+    scenario::ScenarioSpec spec = finite_spec("balancing", 25, requests, 4000);
+    spec.knobs["swap-rate"] = swap_rate;
+    spec.knobs["generation-rate"] = generation_rate;
+    grid.push_back(std::move(spec));
+  };
+  for (const std::int64_t swap_rate : {1, 2, 4, 8}) add_cell(swap_rate, 1.0);
+  for (const double generation_rate : {0.25, 0.5, 2.0}) add_cell(1, generation_rate);
+  return run_grid("ablation_rates", std::move(grid), seeds, options);
+}
+
+SuiteRun suite_ablation_latency(const Options& options) {
+  // §2's cost of classical coordination: the belief-based distributed
+  // protocol under growing per-hop latency. stale_swap_fraction,
+  // conflict_fraction and decision_view_age trace stale knowledge turning
+  // into mis-targeted swaps and rejected consumptions; control_bytes is
+  // what the control plane costs.
+  const std::uint32_t seeds = options.quick ? 1 : 3;
+  std::vector<scenario::ScenarioSpec> grid;
+  for (const double latency : {0.0, 0.05, 0.2, 0.5, 1.0, 2.0}) {
+    scenario::ScenarioSpec spec;
+    spec.protocol = "distributed";
+    spec.topology = "full-grid";
+    spec.nodes = 16;
+    spec.consumer_pairs = 10;
+    spec.requests = 100000;  // the backlog never drains within the duration
+    spec.seed = 6000;
+    spec.knobs["latency"] = latency;
+    spec.knobs["duration"] = options.quick ? 100.0 : 400.0;
+    grid.push_back(std::move(spec));
+  }
+  return run_grid("ablation_latency", std::move(grid), seeds, options);
+}
+
+SuiteRun suite_lp_steady_state(const Options& options) {
+  // §3's steady-state LP under every §3.3 objective, then the §3.2
+  // extensions (distillation D, survival L, QEC thinning R) under
+  // min-generation, with ample capacity and light demand so the high-D
+  // cases stay feasible. The solve is deterministic: one seed per cell.
+  const auto lp_spec = [&](double gamma, double kappa, const char* objective) {
+    scenario::ScenarioSpec spec;
+    spec.protocol = "lp";
+    spec.topology = "random-grid";
+    spec.nodes = options.quick ? 9 : 16;
+    spec.consumer_pairs = options.quick ? 4 : 8;
+    spec.requests = 1;
+    spec.seed = 7;
+    spec.knobs["gamma"] = gamma;
+    spec.knobs["kappa"] = kappa;
+    spec.knobs["objective"] = std::string(objective);
+    return spec;
+  };
+  std::vector<scenario::ScenarioSpec> grid;
+  for (const char* objective : {"min-generation", "min-max-generation", "max-consumption",
+                                "max-min-consumption", "max-scale"}) {
+    grid.push_back(lp_spec(1.0, 0.25, objective));
+  }
+  struct Extension {
+    double distillation, survival, qec;
+  };
+  const std::vector<Extension> extensions = {{1, 1, 1},   {2, 1, 1}, {3, 1, 1},
+                                             {1, 0.8, 1}, {1, 0.5, 1}, {1, 1, 2},
+                                             {1, 1, 4},   {2, 0.8, 2}};
+  for (const Extension& extension : extensions) {
+    scenario::ScenarioSpec spec = lp_spec(50.0, 0.05, "min-generation");
+    spec.knobs["distillation"] = extension.distillation;
+    spec.knobs["survival"] = extension.survival;
+    spec.knobs["qec"] = extension.qec;
+    grid.push_back(std::move(spec));
+  }
+  return run_grid("lp_steady_state", std::move(grid), 1, options);
+}
+
 SuiteRun suite_parallel_scaling(const Options& options) {
   // Intra-run scaling on the largest Fig. 5 cell: the physics is fixed
   // and only the ported engine's `threads` knob sweeps, so per-cell
@@ -281,12 +387,12 @@ SuiteRun suite_parallel_scaling(const Options& options) {
   // Gossip and fidelity cells extend the gate to the full phase-kernel
   // registry: their sharded paths (canonical message merge, per-node
   // event sharding) must be thread-invariant too.
-  bench::FigureSetup setup;
+  FigureSetup setup;
   setup.round_budget = options.quick ? 300 : 1500;
   const std::size_t nodes = options.quick ? 49 : 100;
   std::vector<scenario::ScenarioSpec> grid;
   for (const std::int64_t threads : {1, 2, 4, 8}) {
-    scenario::ScenarioSpec spec = bench::balancing_cell_spec(
+    scenario::ScenarioSpec spec = balancing_cell_spec(
         graph::TopologyFamily::kRandomGrid, nodes, 1.0, setup);
     spec.knobs["threads"] = threads;
     grid.push_back(std::move(spec));
@@ -340,18 +446,18 @@ SuiteRun suite_hotpath(const Options& options) {
   // the per-phase timings land in each cell's "timings" object. The
   // backlog is trimmed so cell wall_ms measures the round loop, not the
   // workload build.
-  bench::FigureSetup sparse_setup;
+  FigureSetup sparse_setup;
   sparse_setup.backlog = 10000;
   sparse_setup.round_budget = options.quick ? 6000 : 8000;
   const std::size_t sparse_nodes = options.quick ? 225 : 324;
-  bench::FigureSetup dense_setup;
+  FigureSetup dense_setup;
   dense_setup.backlog = 10000;
   dense_setup.round_budget = options.quick ? 500 : 1500;
   const std::size_t dense_nodes = options.quick ? 49 : 100;
   std::vector<scenario::ScenarioSpec> grid;
   for (const bool sparse : {true, false}) {
     for (const char* decide : {"incremental", "full"}) {
-      scenario::ScenarioSpec spec = bench::balancing_cell_spec(
+      scenario::ScenarioSpec spec = balancing_cell_spec(
           graph::TopologyFamily::kRandomGrid, sparse ? sparse_nodes : dense_nodes,
           1.0, sparse ? sparse_setup : dense_setup);
       if (sparse) spec.knobs["generation-rate"] = 0.01;
@@ -756,6 +862,9 @@ const std::vector<std::pair<std::string, SuiteFn>> kSuites = {
     {"baseline_comparison", suite_baseline_comparison},
     {"ablation_knowledge", suite_ablation_knowledge},
     {"fidelity_decay", suite_fidelity_decay},
+    {"ablation_rates", suite_ablation_rates},
+    {"ablation_latency", suite_ablation_latency},
+    {"lp_steady_state", suite_lp_steady_state},
     {"parallel_scaling", suite_parallel_scaling},
     {"hotpath", suite_hotpath},
     {"async_routing", suite_async_routing},
@@ -769,8 +878,9 @@ const std::vector<std::pair<std::string, SuiteFn>> kSuites = {
 // ---------------------------------------------------------------------------
 
 /// Compare one suite's cells against a committed baseline. Cells must
-/// match pairwise by spec; every baseline metric mean must agree within
-/// the relative tolerance. Returns the number of violations (0 = pass).
+/// match pairwise by spec and carry exactly the baseline's labels; every
+/// baseline metric mean must agree within the relative tolerance. Returns
+/// the number of violations (0 = pass).
 int check_against_baseline(const SuiteRun& run, const util::json::Value& baseline,
                            double rel_tol) {
   int violations = 0;
@@ -792,6 +902,21 @@ int check_against_baseline(const SuiteRun& run, const util::json::Value& baselin
                              base_cell.at("spec").dump(), " vs ",
                              current_spec.dump(), ")"));
       continue;
+    }
+    const util::json::Value& base_labels = base_cell.at("labels");
+    const util::json::Value current_labels = run.cells[i].to_json().at("labels");
+    for (const auto& [name, value] : base_labels.members()) {
+      if (!current_labels.contains(name)) {
+        complain(util::str_cat("cell ", i, ": label '", name, "' missing from this run"));
+      } else if (!(current_labels.at(name) == value)) {
+        complain(util::str_cat("cell ", i, ": label '", name, "' changed: baseline ",
+                               value.dump(), ", got ", current_labels.at(name).dump()));
+      }
+    }
+    for (const auto& [name, value] : current_labels.members()) {
+      if (!base_labels.contains(name)) {
+        complain(util::str_cat("cell ", i, ": label '", name, "' is not in the baseline"));
+      }
     }
     for (const auto& [name, summary] : base_cell.at("metrics").members()) {
       const double base_mean = summary.at("mean").as_number();
