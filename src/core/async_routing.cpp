@@ -63,7 +63,6 @@ class Driver {
       generate();
       admit_arrivals();
       route();
-      vp_.signals().reset_budget();
     }
     result_.control_messages = vp_.messages_sent();
     if (fault_plan_) result_.resilience.absorb(fault_plan_->stats());

@@ -223,7 +223,6 @@ class Driver {
       report_and_decide();
       commit();
       if (epoch % retry_epochs == 0) try_offer();
-      vp_.signals().reset_budget();
     }
     if (fault_plan_) result_.resilience.absorb(fault_plan_->stats());
     return std::move(result_);

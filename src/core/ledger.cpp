@@ -28,9 +28,7 @@ std::size_t PairLedger::partner_slot(const std::vector<NodeId>& partners,
 
 PairLedger::PairLedger(std::size_t node_count)
     : node_count_(node_count),
-      rows_(node_count),
-      min_histogram_(kMinHistogramCap + 1),
-      histogram_delta_(kMinHistogramCap + 1, 0) {
+      rows_(node_count) {
   require(node_count >= 2, "PairLedger: need at least 2 nodes");
   // Small networks pre-reserve the dense worst case so steady-state
   // mutation never allocates; megascale networks grow rows amortized.
@@ -40,10 +38,6 @@ PairLedger::PairLedger(std::size_t node_count)
       row.counts.reserve(node_count - 1);
     }
   }
-  // Every unordered pair starts at count 0.
-  min_histogram_[0].store(
-      static_cast<std::uint64_t>(node_count) * (node_count - 1) / 2,
-      std::memory_order_relaxed);
 }
 
 void PairLedger::check(NodeId x, NodeId y) const {
@@ -69,21 +63,6 @@ std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
 std::uint32_t PairLedger::degree(NodeId x) const {
   require(x < node_count_, "PairLedger::degree: node out of range");
   return static_cast<std::uint32_t>(rows_[x].partners.size());
-}
-
-void PairLedger::histogram_move(std::uint32_t from, std::uint32_t to) {
-  const std::uint32_t from_bucket = std::min(from, kMinHistogramCap);
-  const std::uint32_t to_bucket = std::min(to, kMinHistogramCap);
-  if (from_bucket == to_bucket) return;
-  min_histogram_[from_bucket].fetch_sub(1, std::memory_order_relaxed);
-  min_histogram_[to_bucket].fetch_add(1, std::memory_order_relaxed);
-  // Keep the hint a lower bound on the true minimum: a pair landing below
-  // it drags it down; it is only ever raised by a quiescent query.
-  std::uint32_t hint = min_hint_.load(std::memory_order_relaxed);
-  while (to_bucket < hint &&
-         !min_hint_.compare_exchange_weak(hint, to_bucket,
-                                          std::memory_order_relaxed)) {
-  }
 }
 
 void PairLedger::mark_pair_readers(NodeId x, NodeId y, std::uint32_t before,
@@ -156,7 +135,6 @@ void PairLedger::add(NodeId x, NodeId y, std::uint32_t amount) {
   if (amount == 0) return;
   const std::uint32_t before = bump_pair(x, y, amount);
   total_.fetch_add(amount, std::memory_order_relaxed);
-  histogram_move(before, before + amount);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, before + amount);
 }
 
@@ -166,11 +144,9 @@ std::uint64_t PairLedger::add_edges_impl(std::span<const graph::Edge> edges,
   // Per-edge work is the same row mutation and (when tracking is on) the
   // same reader marking, in the same order, as the scalar add loop — the
   // mark-budget trajectory and the dirty frontier are bit-identical. The
-  // global bookkeeping (total, histogram moves, min hint) commutes across
-  // the batch and nothing reads it mid-merge, so it accumulates locally
-  // and flushes once.
+  // total commutes across the batch and nothing reads it mid-merge, so it
+  // accumulates locally and is added once.
   std::uint64_t added = 0;
-  std::uint32_t lowest_to = UINT32_MAX;
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const NodeId x = edges[i].a();
     const NodeId y = edges[i].b();
@@ -178,34 +154,10 @@ std::uint64_t PairLedger::add_edges_impl(std::span<const graph::Edge> edges,
     const std::uint32_t amount = amount_of(i);
     if (amount == 0) continue;
     const std::uint32_t before = bump_pair(x, y, amount);
-    const std::uint32_t after = before + amount;
     added += amount;
-    const std::uint32_t from = std::min(before, kMinHistogramCap);
-    const std::uint32_t to = std::min(after, kMinHistogramCap);
-    if (from != to) {
-      --histogram_delta_[from];
-      ++histogram_delta_[to];
-      lowest_to = std::min(lowest_to, to);
-    }
-    if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
+    if (!dirty_.empty()) mark_pair_readers(x, y, before, before + amount);
   }
-  if (added == 0) return 0;
   total_.fetch_add(added, std::memory_order_relaxed);
-  for (std::uint32_t bucket = 0; bucket <= kMinHistogramCap; ++bucket) {
-    const std::int64_t delta = histogram_delta_[bucket];
-    if (delta != 0) {
-      min_histogram_[bucket].fetch_add(static_cast<std::uint64_t>(delta),
-                                       std::memory_order_relaxed);
-      histogram_delta_[bucket] = 0;
-    }
-  }
-  // Sequential histogram_moves end the hint at min(hint, all to-buckets);
-  // one CAS-lower to the batch minimum lands on the same value.
-  std::uint32_t hint = min_hint_.load(std::memory_order_relaxed);
-  while (lowest_to < hint &&
-         !min_hint_.compare_exchange_weak(hint, lowest_to,
-                                          std::memory_order_relaxed)) {
-  }
   return added;
 }
 
@@ -248,7 +200,6 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   const std::size_t slot_y = partner_slot(row_y.partners, x);
   row_y.counts[slot_y] = after;
   total_.fetch_sub(amount, std::memory_order_relaxed);
-  histogram_move(before, after);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
     row_x.partners.erase(row_x.partners.begin() + static_cast<long>(slot_x));
@@ -268,27 +219,6 @@ std::span<const std::uint32_t> PairLedger::partner_counts(NodeId x) const {
   return {rows_[x].counts.data(), rows_[x].counts.size()};
 }
 
-std::uint32_t PairLedger::minimum_pair_count() const {
-  std::uint32_t bucket = min_hint_.load(std::memory_order_relaxed);
-  while (bucket < kMinHistogramCap &&
-         min_histogram_[bucket].load(std::memory_order_relaxed) == 0) {
-    ++bucket;
-  }
-  min_hint_.store(bucket, std::memory_order_relaxed);
-  if (bucket < kMinHistogramCap) return bucket;
-  // Every pair count is >= the histogram cap, so every unordered pair is
-  // live in some row: the exact minimum comes from the row scan (rare —
-  // it means every pair holds 256+ pairs).
-  std::uint32_t minimum = UINT32_MAX;
-  for (NodeId x = 0; x < node_count_; ++x) {
-    const Row& row = rows_[x];
-    for (std::size_t i = 0; i < row.partners.size(); ++i) {
-      if (row.partners[i] > x) minimum = std::min(minimum, row.counts[i]);
-    }
-  }
-  return minimum;
-}
-
 graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
   graph::Graph result(node_count_);
   for (NodeId x = 0; x < node_count_; ++x) {
@@ -305,13 +235,12 @@ graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers + the dirty slot) plus live entries (partner id +
-  // count, both symmetric copies counted) plus the histogram.
+  // count, both symmetric copies counted).
   constexpr std::uint64_t kPerNodeBytes = 56;
   constexpr std::uint64_t kPerEntryBytes =
       sizeof(NodeId) + sizeof(std::uint32_t);
   std::uint64_t bytes = kPerNodeBytes * node_count_;
   for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
-  bytes += (kMinHistogramCap + 1) * sizeof(std::uint64_t);
   return bytes;
 }
 
@@ -376,7 +305,7 @@ std::size_t PairLedger::drain_dirty(std::vector<NodeId>& out) {
       kMarkingBudgetPerNode * static_cast<std::int64_t>(node_count_),
       std::memory_order_relaxed);
   if (mark_overflow_.load(std::memory_order_relaxed) != 0) {
-    // The epoch overflowed: marks were latched, not recorded — the whole
+    // The epoch ran out of budget: marks were latched, not recorded — the whole
     // network is the frontier.
     mark_overflow_.store(0, std::memory_order_relaxed);
     std::fill(dirty_.begin(), dirty_.end(), 0);

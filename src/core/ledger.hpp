@@ -14,20 +14,14 @@
 // add/remove never allocates (the zero-allocation hot-path contract);
 // above it rows grow amortized — the megascale regime, where a dense
 // reserve would itself be the n^2 allocation this layout exists to avoid.
-// The ledger also maintains two incremental structures:
-//
-//   * a count-of-counts histogram (bucketed at kMinHistogramCap) backing
-//     minimum_pair_count() without the O(n^2) matrix scan — the dense
-//     scan remains only as the fallback when every pair count has
-//     overflowed the histogram range;
-//   * an optional per-node dirty set for the incremental swap-decide
-//     kernel: when enabled, every count mutation marks exactly the nodes
-//     whose readable state changed — the two endpoints (they own the
-//     counts) plus the common partners of the changed pair (the nodes
-//     that read C_x(y) as a §4 beneficiary count). An unchanged readable
-//     view implies an unchanged best-swap decision, so a decide kernel
-//     that re-runs only over the dirty frontier is exactly equivalent to
-//     a full rescan (sim::NetworkState::decide_swaps leans on this).
+// The ledger also maintains an optional per-node dirty set for the
+// incremental swap-decide kernel: when enabled, every count mutation marks
+// exactly the nodes whose readable state changed — the two endpoints (they
+// own the counts) plus the common partners of the changed pair (the nodes
+// that read C_x(y) as a §4 beneficiary count). An unchanged readable view
+// implies an unchanged best-swap decision, so a decide kernel that re-runs
+// only over the dirty frontier is exactly equivalent to a full rescan
+// (sim::NetworkState::decide_swaps leans on this).
 #pragma once
 
 #include <algorithm>
@@ -54,13 +48,12 @@ class PairLedger {
   void add(NodeId x, NodeId y, std::uint32_t amount = 1);
 
   /// Batched canonical-order merge: exactly equivalent to calling
-  /// add(edges[i].a(), edges[i].b(), amount) for i ascending — same rows, same
-  /// reader marks in the same order, same histogram/min-hint/total — but
-  /// with the global bookkeeping accumulated in pre-sized local scratch
-  /// and applied once per batch instead of once per edge. This is the
-  /// generation merge's hot path. Serial phase contexts only:
-  /// total_pairs()/minimum_pair_count() are not coherent mid-call.
-  /// Returns the total amount added.
+  /// add(edges[i].a(), edges[i].b(), amount) for i ascending — same rows,
+  /// same reader marks in the same order, same total — but with the total
+  /// accumulated locally and added once per batch instead of once per
+  /// edge. This is the generation merge's hot path. Serial phase contexts
+  /// only: total_pairs() is not coherent mid-call. Returns the total
+  /// amount added.
   std::uint64_t add_edges(std::span<const graph::Edge> edges,
                           std::uint32_t amount = 1);
 
@@ -111,12 +104,6 @@ class PairLedger {
   /// Number of partners of x (the length of partners(x)).
   [[nodiscard]] std::uint32_t degree(NodeId x) const;
 
-  /// Smallest count over all (unordered) node pairs, including zeroes.
-  /// Served from the incremental count histogram; falls back to the dense
-  /// matrix scan only when every pair count is >= kMinHistogramCap.
-  /// Like count(), exact when no commit phase is in flight.
-  [[nodiscard]] std::uint32_t minimum_pair_count() const;
-
   /// Snapshot of pairs with count >= threshold as an undirected graph
   /// (the entanglement graph the hybrid protocol routes over, §6).
   [[nodiscard]] graph::Graph entanglement_graph(std::uint32_t threshold = 1) const;
@@ -143,16 +130,13 @@ class PairLedger {
   /// under-threshold counts are consulted only through the >= threshold
   /// predicate itself, which such a mutation cannot flip.
   void set_reader_threshold(std::uint32_t minimum_eligible_count);
-  [[nodiscard]] std::uint32_t reader_threshold() const {
-    return reader_threshold_;
-  }
   [[nodiscard]] bool dirty(NodeId x) const {
     return !dirty_.empty() &&
            (mark_overflow_.load(std::memory_order_relaxed) != 0 ||
             dirty_[x] != 0);
   }
   /// Currently dirty nodes (0 when tracking is off; node_count when the
-  /// marking epoch overflowed and everything counts as dirty).
+  /// marking epoch ran out of budget and everything counts as dirty).
   [[nodiscard]] std::size_t dirty_count() const {
     if (dirty_.empty()) return 0;
     if (mark_overflow_.load(std::memory_order_relaxed) != 0) {
@@ -172,7 +156,7 @@ class PairLedger {
   std::size_t drain_dirty(std::vector<NodeId>& out);
   /// Start a new marking epoch without draining (consumers that clear
   /// bits node by node, like the fidelity slice kernels, call this at
-  /// their serial phase boundary). If the previous epoch overflowed its
+  /// their serial phase boundary). If the previous epoch ran out of its
   /// budget, every node is re-marked dirty first. Serial contexts only.
   void reset_marking_budget();
 
@@ -187,10 +171,6 @@ class PairLedger {
   /// without touching the equivalence proof. Sparse steady states never
   /// come close to the budget.
   static constexpr std::int64_t kMarkingBudgetPerNode = 8;
-
-  /// Histogram range for minimum_pair_count maintenance: counts at or
-  /// above the cap share one overflow bucket.
-  static constexpr std::uint32_t kMinHistogramCap = 256;
 
   /// Below this node count every row pre-reserves node_count-1 slots
   /// (dense worst case, <= ~8 MB total) so steady-state mutation never
@@ -244,9 +224,6 @@ class PairLedger {
   template <typename AmountOf>
   std::uint64_t add_edges_impl(std::span<const graph::Edge> edges,
                                AmountOf amount_of);
-  /// Move one unordered pair between histogram buckets + maintain the
-  /// lower-bound hint. Relaxed atomics: safe under the two-level commit.
-  void histogram_move(std::uint32_t from, std::uint32_t to);
   /// Mark everything that reads C_x(y) as it moves before -> after: the
   /// endpoints (unless the count stays strictly under the reader
   /// threshold on both sides) and the eligible common partners.
@@ -261,13 +238,6 @@ class PairLedger {
   /// commit's phase barrier orders everything else.
   std::atomic<std::uint64_t> total_{0};
 
-  /// count value -> number of unordered pairs holding it (counts >=
-  /// kMinHistogramCap collapse into the last bucket). Relaxed atomics for
-  /// the same reason as total_.
-  std::vector<std::atomic<std::uint64_t>> min_histogram_;
-  /// Lower bound on the true minimum; raised only at quiescent queries.
-  mutable std::atomic<std::uint32_t> min_hint_{0};
-
   // Dirty set (empty vector = tracking off).
   std::vector<std::uint8_t> dirty_;             // relaxed atomic_ref marks
   std::atomic<std::size_t> dirty_count_{0};
@@ -275,11 +245,6 @@ class PairLedger {
   /// Probes left in this marking epoch; overflow latches all-dirty.
   std::atomic<std::int64_t> mark_budget_{0};
   std::atomic<std::uint8_t> mark_overflow_{0};
-
-  /// add_edges scratch: per-bucket histogram deltas accumulated over a
-  /// batch and flushed once (pre-sized to kMinHistogramCap + 1, zeroed
-  /// after each flush — the batch path never allocates).
-  std::vector<std::int64_t> histogram_delta_;
 };
 
 }  // namespace poq::core

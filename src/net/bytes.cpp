@@ -1,30 +1,10 @@
 #include "net/bytes.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "util/error.hpp"
 
 namespace poq::net {
 
 void ByteWriter::write_u8(std::uint8_t value) { buffer_.push_back(value); }
-
-void ByteWriter::write_u16(std::uint16_t value) {
-  buffer_.push_back(static_cast<std::uint8_t>(value));
-  buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void ByteWriter::write_u32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-void ByteWriter::write_u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
 
 void ByteWriter::write_varint(std::uint64_t value) {
   while (value >= 0x80) {
@@ -34,18 +14,6 @@ void ByteWriter::write_varint(std::uint64_t value) {
   buffer_.push_back(static_cast<std::uint8_t>(value));
 }
 
-void ByteWriter::write_double(double value) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof value);
-  std::memcpy(&bits, &value, sizeof bits);
-  write_u64(bits);
-}
-
-void ByteWriter::write_string(std::string_view value) {
-  write_varint(value.size());
-  buffer_.insert(buffer_.end(), value.begin(), value.end());
-}
-
 void ByteReader::need(std::size_t count) const {
   require(cursor_ + count <= bytes_.size(), "ByteReader: truncated input");
 }
@@ -53,34 +21,6 @@ void ByteReader::need(std::size_t count) const {
 std::uint8_t ByteReader::read_u8() {
   need(1);
   return bytes_[cursor_++];
-}
-
-std::uint16_t ByteReader::read_u16() {
-  need(2);
-  std::uint16_t value = bytes_[cursor_];
-  value |= static_cast<std::uint16_t>(bytes_[cursor_ + 1]) << 8;
-  cursor_ += 2;
-  return value;
-}
-
-std::uint32_t ByteReader::read_u32() {
-  need(4);
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(bytes_[cursor_ + i]) << (8 * i);
-  }
-  cursor_ += 4;
-  return value;
-}
-
-std::uint64_t ByteReader::read_u64() {
-  need(8);
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(bytes_[cursor_ + i]) << (8 * i);
-  }
-  cursor_ += 8;
-  return value;
 }
 
 std::uint64_t ByteReader::read_varint() {
@@ -94,21 +34,6 @@ std::uint64_t ByteReader::read_varint() {
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }
-  return value;
-}
-
-double ByteReader::read_double() {
-  const std::uint64_t bits = read_u64();
-  double value;
-  std::memcpy(&value, &bits, sizeof value);
-  return value;
-}
-
-std::string ByteReader::read_string() {
-  const std::uint64_t length = read_varint();
-  need(length);
-  std::string value(reinterpret_cast<const char*>(bytes_.data() + cursor_), length);
-  cursor_ += length;
   return value;
 }
 

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace poq::net {
@@ -19,15 +17,8 @@ namespace poq::net {
 class ByteWriter {
  public:
   void write_u8(std::uint8_t value);
-  void write_u16(std::uint16_t value);
-  void write_u32(std::uint32_t value);
-  void write_u64(std::uint64_t value);
   /// LEB128 unsigned varint (1 byte for values < 128).
   void write_varint(std::uint64_t value);
-  /// IEEE-754 binary64, little-endian.
-  void write_double(double value);
-  /// Varint length prefix + raw bytes.
-  void write_string(std::string_view value);
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
@@ -43,12 +34,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   [[nodiscard]] std::uint8_t read_u8();
-  [[nodiscard]] std::uint16_t read_u16();
-  [[nodiscard]] std::uint32_t read_u32();
-  [[nodiscard]] std::uint64_t read_u64();
   [[nodiscard]] std::uint64_t read_varint();
-  [[nodiscard]] double read_double();
-  [[nodiscard]] std::string read_string();
 
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - cursor_; }
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }

@@ -21,16 +21,8 @@ Gate1 hadamard() {
   return Gate1{{C{kInvSqrt2, 0}, C{kInvSqrt2, 0}, C{kInvSqrt2, 0}, C{-kInvSqrt2, 0}}};
 }
 
-Gate1 phase_s() { return Gate1{{C{1, 0}, C{0, 0}, C{0, 0}, C{0, 1}}}; }
-
 Gate1 phase_t() {
   return Gate1{{C{1, 0}, C{0, 0}, C{0, 0}, C{kInvSqrt2, kInvSqrt2}}};
-}
-
-Gate1 rotation_x(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  return Gate1{{C{c, 0}, C{0, -s}, C{0, -s}, C{c, 0}}};
 }
 
 Gate1 rotation_y(double theta) {

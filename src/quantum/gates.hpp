@@ -15,12 +15,8 @@ namespace poq::quantum::gates {
 [[nodiscard]] Gate1 pauli_z();
 /// Hadamard.
 [[nodiscard]] Gate1 hadamard();
-/// Phase gate S = diag(1, i).
-[[nodiscard]] Gate1 phase_s();
 /// T gate = diag(1, e^{i pi/4}).
 [[nodiscard]] Gate1 phase_t();
-/// Rotation about X by angle theta.
-[[nodiscard]] Gate1 rotation_x(double theta);
 /// Rotation about Y by angle theta.
 [[nodiscard]] Gate1 rotation_y(double theta);
 /// Rotation about Z by angle theta.

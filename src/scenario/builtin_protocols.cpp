@@ -60,7 +60,8 @@ sim::TickConcurrency tick_from_spec(const std::string& protocol,
           "knob 'threads' must be in [0, 4096]");
   tick.threads = static_cast<std::uint32_t>(threads);
   const std::int64_t shards = spec.knob_int("shards", 0);
-  require(shards >= 0 && shards <= 1 << 20, "knob 'shards' must be >= 0");
+  require(shards >= 0 && shards <= 1 << 20,
+          "knob 'shards' must be in [0, 1048576]");
   tick.shards = static_cast<std::uint32_t>(shards);
   const std::string decide = spec.knob_string("decide", "incremental");
   if (decide == "incremental") {
@@ -214,7 +215,13 @@ core::BalancingConfig balancing_config(const ScenarioSpec& spec) {
   config.generation_per_edge_per_round = spec.knob_double("generation-rate", 1.0);
   config.seed = spec.seed;
   const std::int64_t detour_slack = spec.knob_int("detour-slack", -1);
-  if (detour_slack >= 0) {
+  if (detour_slack != -1) {
+    constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    if (detour_slack < 0 || detour_slack > kMax) {
+      throw PreconditionError(util::str_cat(
+          "knob 'detour-slack' must be -1 (unrestricted) or in [0, ", kMax,
+          "], got ", detour_slack));
+    }
     config.policy.detour_slack = static_cast<std::uint32_t>(detour_slack);
   }
   config.arrival_rate = spec.knob_double("arrival-rate", 0.0);

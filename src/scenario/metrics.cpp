@@ -70,10 +70,6 @@ bool RunMetrics::has_scalar(const std::string& name) const {
   return find_entry(scalars_, name) != nullptr;
 }
 
-bool RunMetrics::has_stats(const std::string& name) const {
-  return find_entry(stats_, name) != nullptr;
-}
-
 const std::string& RunMetrics::label(const std::string& name) const {
   const std::string* value = find_entry(labels_, name);
   if (!value) throw PreconditionError(util::str_cat("no label metric '", name, "'"));
@@ -90,10 +86,6 @@ const util::RunningStats& RunMetrics::stats(const std::string& name) const {
   const util::RunningStats* value = find_entry(stats_, name);
   if (!value) throw PreconditionError(util::str_cat("no stats metric '", name, "'"));
   return *value;
-}
-
-bool RunMetrics::has_timing(const std::string& name) const {
-  return find_entry(timings_, name) != nullptr;
 }
 
 double RunMetrics::timing(const std::string& name) const {

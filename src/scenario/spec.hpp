@@ -74,10 +74,6 @@ struct ScenarioSpec {
   /// Stochastic fault processes are ordinary knobs (fault-node-mtbf, ...).
   std::vector<sim::FaultEvent> faults;
 
-  [[nodiscard]] bool has_knob(const std::string& name) const {
-    return knobs.count(name) != 0;
-  }
-
   /// Typed knob reads with fallback; throw PreconditionError naming the
   /// knob on a type mismatch (int is accepted where a double is asked).
   [[nodiscard]] bool knob_bool(const std::string& name, bool fallback) const;

@@ -184,7 +184,6 @@ class NetworkState {
                            const ObserveFn& observe = {});
 
   // --- decay state + decohere kernel (decay model required) ------------
-  [[nodiscard]] bool tracks_pairs() const { return decay_.has_value(); }
   [[nodiscard]] const DecayModel& decay() const;
   /// Current fidelity of a tracked pair under the decay model.
   [[nodiscard]] double fidelity_now(const TrackedPair& pair, double now) const;
@@ -299,7 +298,7 @@ class NetworkState {
   std::uint32_t commit_attempt_ = 0;
   double decohere_now_ = 0.0;
 
-  // Decay state (tracks_pairs() only): sparse metadata buckets keyed by
+  // Decay state (set only with a decay model): sparse metadata buckets keyed by
   // live pairs, mirroring the ledger counts (bucket size == count).
   std::optional<DecayModel> decay_;
   std::optional<PairStore> pair_store_;

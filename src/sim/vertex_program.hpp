@@ -40,11 +40,8 @@
 // shard_count = 1 special case of the same code, kept as the inline
 // reference the vertex-program tests compare the pooled runs against.
 //
-// The signaled-set reuses the PairLedger dirty-set discipline: relaxed
-// atomic marks (safe from concurrent kernels), a per-epoch marking budget
-// for fan-out marking loops, and an overflow latch that degrades to
-// everything-signaled rather than paying unbounded precision (dense
-// regimes recompute everything anyway).
+// The signaled-set is one byte per vertex with O(1) relaxed atomic marks,
+// safe from concurrent kernels.
 #pragma once
 
 #include <algorithm>
@@ -60,16 +57,9 @@
 namespace poq::sim {
 
 /// The vertices whose cached decisions must be recomputed because their
-/// readable state changed. PairLedger dirty-set discipline: O(1) relaxed
-/// atomic marks, a per-epoch budget charged by fan-out marking loops, and
-/// an overflow latch that converts to everything-signaled at the epoch
-/// boundary.
+/// readable state changed: one relaxed atomic mark per vertex.
 class SignalSet {
  public:
-  /// Precision budget for fan-out marking loops, per vertex per epoch
-  /// (mirrors PairLedger::kMarkingBudgetPerNode).
-  static constexpr std::int64_t kBudgetPerVertex = 8;
-
   explicit SignalSet(std::size_t vertex_count);
 
   [[nodiscard]] std::size_t vertex_count() const { return bits_.size(); }
@@ -79,41 +69,19 @@ class SignalSet {
   /// Mark every vertex (serial).
   void signal_all();
 
-  /// Charge `cost` against the epoch's marking budget before a fan-out
-  /// marking loop of that size. Returns false — and latches the overflow
-  /// — once the epoch's scans have cost more than the budget; the caller
-  /// skips its loop (the latch makes everything signaled instead).
-  /// Thread-safe (relaxed).
-  bool charge(std::size_t cost);
-  [[nodiscard]] bool overflowed() const {
-    return overflow_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Whether `vertex` is signaled (everything is, under the latch).
+  /// Whether `vertex` is signaled.
   [[nodiscard]] bool test(std::uint32_t vertex) const;
-  /// Clear one vertex's mark (no-op under the latch — precision is gone
-  /// for the epoch). Thread-safe against concurrent marks of *other*
-  /// vertices; callers clear only vertices they own.
+  /// Clear one vertex's mark. Thread-safe against concurrent marks of
+  /// *other* vertices; callers clear only vertices they own.
   void clear(std::uint32_t vertex);
-  [[nodiscard]] std::size_t signaled_count() const;
-
-  /// Epoch boundary: refill the budget; if the epoch overflowed, convert
-  /// the latch back to bits conservatively (everything signaled).
-  void reset_budget();
-
-  /// Append all signaled vertices to `out` in ascending order and clear
-  /// every mark (serial).
-  std::size_t drain(std::vector<std::uint32_t>& out);
 
  private:
-  [[nodiscard]] std::atomic<std::uint8_t>& relaxed(std::uint8_t& byte) const {
-    return reinterpret_cast<std::atomic<std::uint8_t>&>(byte);
+  [[nodiscard]] static std::atomic_ref<std::uint8_t> relaxed(
+      std::uint8_t& byte) {
+    return std::atomic_ref<std::uint8_t>(byte);
   }
 
   mutable std::vector<std::uint8_t> bits_;
-  std::atomic<std::size_t> count_{0};
-  std::atomic<std::int64_t> budget_{0};
-  std::atomic<std::uint8_t> overflow_{0};
 };
 
 /// Typed message substrate for one vertex program. `Message` is the

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace poq::util {
 
@@ -27,8 +25,6 @@ class RunningStats {
   [[nodiscard]] double mean() const;
   /// Population variance; 0 for fewer than 2 samples.
   [[nodiscard]] double variance() const;
-  /// Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
-  [[nodiscard]] double sample_variance() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
@@ -41,33 +37,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Fixed-width linear histogram over [lo, hi); samples outside the range
-/// are clamped into the first/last bucket so mass is never dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] double bucket_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Linear-interpolated quantile estimate, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Exact percentile of a sample vector (copies and sorts; for small data).
-/// q in [0,1]; linear interpolation between order statistics.
-double percentile(std::vector<double> samples, double q);
 
 }  // namespace poq::util

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,7 +18,6 @@ TEST(PairLedger, StartsEmpty) {
   EXPECT_EQ(ledger.total_pairs(), 0u);
   EXPECT_EQ(ledger.count(0, 1), 0u);
   EXPECT_TRUE(ledger.partners(0).empty());
-  EXPECT_EQ(ledger.minimum_pair_count(), 0u);
 }
 
 TEST(PairLedger, CountsAreSymmetric) {
@@ -85,15 +83,6 @@ TEST(PairLedger, ZeroAmountIsNoop) {
   EXPECT_EQ(ledger.count(0, 1), 2u);
 }
 
-TEST(PairLedger, MinimumPairCount) {
-  PairLedger ledger(3);
-  ledger.add(0, 1, 2);
-  ledger.add(0, 2, 3);
-  EXPECT_EQ(ledger.minimum_pair_count(), 0u);  // (1,2) still empty
-  ledger.add(1, 2, 1);
-  EXPECT_EQ(ledger.minimum_pair_count(), 1u);
-}
-
 TEST(PairLedger, EntanglementGraphThreshold) {
   PairLedger ledger(4);
   ledger.add(0, 1, 1);
@@ -114,51 +103,6 @@ TEST(PairLedger, TotalPairsAccumulates) {
   ledger.add(2, 3, 5);
   ledger.remove(0, 1, 4);
   EXPECT_EQ(ledger.total_pairs(), 11u);
-}
-
-/// Brute-force reference for minimum_pair_count: the dense matrix scan.
-std::uint32_t scan_minimum(const PairLedger& ledger) {
-  std::uint32_t minimum = UINT32_MAX;
-  const auto n = static_cast<NodeId>(ledger.node_count());
-  for (NodeId x = 0; x < n; ++x) {
-    for (NodeId y = x + 1; y < n; ++y) {
-      minimum = std::min(minimum, ledger.count(x, y));
-    }
-  }
-  return minimum;
-}
-
-TEST(PairLedger, MinimumPairCountMatchesScanUnderRandomChurn) {
-  // The incremental count histogram must agree with the full matrix scan
-  // after every mutation of a randomized add/remove workload.
-  PairLedger ledger(6);
-  util::Rng rng(0xC0FFEE);
-  for (int step = 0; step < 4000; ++step) {
-    const auto x = static_cast<NodeId>(rng.uniform_index(6));
-    auto y = static_cast<NodeId>(rng.uniform_index(6));
-    if (y == x) y = (y + 1) % 6;
-    const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
-    if (rng.bernoulli(0.55) || ledger.count(x, y) < amount) {
-      ledger.add(x, y, amount);
-    } else {
-      ledger.remove(x, y, amount);
-    }
-    ASSERT_EQ(ledger.minimum_pair_count(), scan_minimum(ledger))
-        << "histogram minimum diverged at step " << step;
-  }
-}
-
-TEST(PairLedger, MinimumPairCountFallsBackAboveHistogramCap) {
-  // Saturate every unordered pair past the histogram range: the exact
-  // minimum must still come out (via the dense-scan fallback).
-  PairLedger ledger(3);
-  const std::uint32_t above = PairLedger::kMinHistogramCap + 40;
-  ledger.add(0, 1, above + 2);
-  ledger.add(0, 2, above);
-  ledger.add(1, 2, above + 7);
-  EXPECT_EQ(ledger.minimum_pair_count(), above);
-  ledger.remove(0, 2, above - 1);  // drop one pair back into range
-  EXPECT_EQ(ledger.minimum_pair_count(), 1u);
 }
 
 std::vector<NodeId> drained(PairLedger& ledger) {
@@ -254,8 +198,8 @@ TEST(PairLedger, ResetMarkingBudgetConvertsOverflowToBits) {
 }
 
 // add_edges must be indistinguishable from the scalar add() loop it
-// replaces in the generation merge: same rows, same totals, same
-// minimum, and the same dirty frontier in the same drain order.
+// replaces in the generation merge: same rows, same totals, and the same
+// dirty frontier in the same drain order.
 TEST(PairLedger, AddEdgesMatchesScalarAddLoop) {
   constexpr std::size_t kNodes = 24;
   util::Rng rng(90210);
@@ -286,7 +230,6 @@ TEST(PairLedger, AddEdgesMatchesScalarAddLoop) {
     }
     EXPECT_EQ(added, expected_added);
     EXPECT_EQ(batched.total_pairs(), scalar.total_pairs());
-    EXPECT_EQ(batched.minimum_pair_count(), scalar.minimum_pair_count());
     for (NodeId x = 0; x < kNodes; ++x) {
       for (NodeId y = static_cast<NodeId>(x + 1); y < kNodes; ++y) {
         EXPECT_EQ(batched.count(x, y), scalar.count(x, y));

@@ -100,22 +100,37 @@ TEST(ScenarioSpec, RegistryRejectsKnobTypeMismatch) {
 
 TEST(ScenarioSpec, RegistryRejectsOutOfRangeIntegerKnobs) {
   // Unsigned 32-bit knobs are range-checked, not cast: -1 must not become
-  // 4294967295 and 2^32 + 2 must not become 2.
-  const std::vector<std::pair<std::string, std::string>> knobs = {
-      {"gossip", "fanout"},      {"balancing", "max-rounds"},
-      {"balancing", "swap-rate"}, {"planned", "window"},
-      {"hybrid", "max-assist-hops"},
+  // 4294967295 and 2^32 + 2 must not become 2. detour-slack reserves -1
+  // for "unrestricted", so only other negatives are out of range there.
+  // Each message states the accepted range.
+  struct Case {
+    std::string protocol;
+    std::string knob;
+    std::vector<std::int64_t> values;
+    std::string range;
   };
-  for (const auto& [protocol, knob] : knobs) {
-    for (const std::int64_t value : {std::int64_t{-1}, std::int64_t{4294967298}}) {
+  const std::vector<std::int64_t> u32_out_of_range = {-1, 4294967298};
+  const std::vector<Case> cases = {
+      {"gossip", "fanout", u32_out_of_range, "in ["},
+      {"balancing", "max-rounds", u32_out_of_range, "in ["},
+      {"balancing", "swap-rate", u32_out_of_range, "in ["},
+      {"planned", "window", u32_out_of_range, "in ["},
+      {"hybrid", "max-assist-hops", u32_out_of_range, "in ["},
+      {"balancing", "detour-slack", {-7, 4294967297},
+       "-1 (unrestricted) or in [0, 4294967295]"},
+      {"balancing", "shards", {-1, 1048577}, "in [0, 1048576]"},
+  };
+  for (const Case& c : cases) {
+    for (const std::int64_t value : c.values) {
       ScenarioSpec spec;
       spec.nodes = 9;
       spec.requests = 5;
-      spec.knobs[knob] = value;
+      spec.knobs[c.knob] = value;
       const std::string message =
-          message_of([&] { (void)registry().run(protocol, spec); });
-      EXPECT_NE(message.find("knob '" + knob + "' must be in"), std::string::npos)
-          << protocol << " " << knob << "=" << value << ": " << message;
+          message_of([&] { (void)registry().run(c.protocol, spec); });
+      EXPECT_NE(message.find("knob '" + c.knob + "' must be " + c.range),
+                std::string::npos)
+          << c.protocol << " " << c.knob << "=" << value << ": " << message;
     }
   }
   // A gossip node has node_count - 1 peers to rotate through.

@@ -116,6 +116,12 @@ ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
   if (protocol == "fidelity") {
     spec.knobs["duration"] = 30.0 + static_cast<double>(fuzz.uniform_index(3)) * 15.0;
     spec.knobs["memory-T"] = fuzz.bernoulli(0.5) ? 30.0 : 80.0;
+  } else if (protocol == "distributed" || protocol == "async_routing") {
+    // The message protocols skip unsignaled vertices under incremental.
+    spec.knobs["duration"] = 30.0 + static_cast<double>(fuzz.uniform_index(3)) * 15.0;
+    const double rates[] = {0.3, 1.0, 1.6};
+    spec.knobs["generation-rate"] = rates[fuzz.uniform_index(3)];
+    spec.knobs["latency"] = fuzz.bernoulli(0.5) ? 0.1 : 0.6;
   } else {
     spec.knobs["max-rounds"] = std::int64_t{2000};
     const double rates[] = {0.05, 0.3, 1.0, 1.6};
@@ -131,12 +137,13 @@ ScenarioSpec fuzz_spec(const std::string& protocol, util::Rng& fuzz) {
 }
 
 TEST(IncrementalDecide, FuzzBitIdenticalToFullRescan) {
-  // protocols {balancing, gossip, fidelity} x threads {1,8} x shards
-  // {1,16} on randomized frames: the dirty-set decide must reproduce the
-  // forced full rescan bit for bit, at every concurrency setting.
+  // protocols {balancing, gossip, fidelity, distributed, async_routing}
+  // x threads {1,8} x shards {1,16} on randomized frames: the dirty-set
+  // (or signal-gated) decide must reproduce the forced full rescan bit
+  // for bit, at every concurrency setting.
   util::Rng fuzz(0xD1E7);
-  const std::vector<std::string> protocols = {"balancing", "gossip",
-                                              "fidelity"};
+  const std::vector<std::string> protocols = {
+      "balancing", "gossip", "fidelity", "distributed", "async_routing"};
   for (int trial = 0; trial < 3; ++trial) {
     for (const std::string& protocol : protocols) {
       const ScenarioSpec spec = fuzz_spec(protocol, fuzz);

@@ -30,45 +30,22 @@ TEST(SignalSet, MarksDrainAscendingAndClear) {
   signals.signal(14);
   EXPECT_TRUE(signals.test(9));
   EXPECT_FALSE(signals.test(3));
-  EXPECT_EQ(signals.signaled_count(), 3u);
   signals.clear(9);
   EXPECT_FALSE(signals.test(9));
-  std::vector<std::uint32_t> drained;
-  EXPECT_EQ(signals.drain(drained), 2u);
-  EXPECT_EQ(drained, (std::vector<std::uint32_t>{2, 14}));
-  EXPECT_EQ(signals.signaled_count(), 0u);
-}
-
-TEST(SignalSet, BudgetOverflowLatchesToEverythingSignaled) {
-  SignalSet signals(4);
-  const std::size_t budget = 4 * SignalSet::kBudgetPerVertex;
-  EXPECT_TRUE(signals.charge(budget));     // exactly spends the budget
-  EXPECT_FALSE(signals.charge(1));         // one more latches
-  EXPECT_TRUE(signals.overflowed());
-  // Precision is gone: everything reads signaled, clears are no-ops.
-  for (std::uint32_t v = 0; v < 4; ++v) EXPECT_TRUE(signals.test(v));
-  signals.clear(1);
-  EXPECT_TRUE(signals.test(1));
-  EXPECT_EQ(signals.signaled_count(), 4u);
-  std::vector<std::uint32_t> drained;
-  EXPECT_EQ(signals.drain(drained), 4u);
-  EXPECT_EQ(drained, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  EXPECT_FALSE(signals.overflowed());  // drain starts a fresh epoch
-}
-
-TEST(SignalSet, ResetBudgetConvertsLatchConservatively) {
-  SignalSet signals(3);
-  signals.signal(1);
-  EXPECT_FALSE(signals.charge(1000));
-  signals.reset_budget();
-  // The latch became real marks on every vertex; the new epoch has its
-  // budget back and precise clearing works again.
-  EXPECT_FALSE(signals.overflowed());
-  for (std::uint32_t v = 0; v < 3; ++v) EXPECT_TRUE(signals.test(v));
-  EXPECT_TRUE(signals.charge(1));
-  signals.clear(0);
-  EXPECT_FALSE(signals.test(0));
-  EXPECT_TRUE(signals.test(2));
+  std::vector<std::uint32_t> marked;
+  for (std::uint32_t v = 0; v < signals.vertex_count(); ++v) {
+    if (signals.test(v)) marked.push_back(v);
+  }
+  EXPECT_EQ(marked, (std::vector<std::uint32_t>{2, 14}));
+  signals.clear(2);
+  signals.clear(14);
+  for (std::uint32_t v = 0; v < signals.vertex_count(); ++v) {
+    EXPECT_FALSE(signals.test(v)) << v;
+  }
+  signals.signal_all();
+  for (std::uint32_t v = 0; v < signals.vertex_count(); ++v) {
+    EXPECT_TRUE(signals.test(v)) << v;
+  }
 }
 
 // --- canonical message merge -------------------------------------------
@@ -194,7 +171,6 @@ std::vector<std::int64_t> run_decisions(bool changed_only) {
       program.signals().clear(v);
     }
     trajectory.insert(trajectory.end(), decision.begin(), decision.end());
-    program.signals().reset_budget();
   }
   return trajectory;
 }

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace poq::util {
@@ -43,8 +41,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   for (double x : data) ss += (x - mean) * (x - mean);
   EXPECT_NEAR(stats.mean(), mean, 1e-12);
   EXPECT_NEAR(stats.variance(), ss / static_cast<double>(data.size()), 1e-12);
-  EXPECT_NEAR(stats.sample_variance(), ss / static_cast<double>(data.size() - 1),
-              1e-12);
   EXPECT_DOUBLE_EQ(stats.min(), -1.0);
   EXPECT_DOUBLE_EQ(stats.max(), 7.5);
   EXPECT_NEAR(stats.sum(), sum, 1e-12);
@@ -78,59 +74,6 @@ TEST(RunningStats, MergeWithEmpty) {
   empty.merge(stats);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_NEAR(empty.mean(), 1.5, 1e-12);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(0.5);    // bucket 0
-  hist.add(9.99);   // bucket 4
-  hist.add(-3.0);   // clamped to bucket 0
-  hist.add(42.0);   // clamped to bucket 4
-  hist.add(5.0);    // bucket 2
-  EXPECT_EQ(hist.total(), 5u);
-  EXPECT_EQ(hist.bucket(0), 2u);
-  EXPECT_EQ(hist.bucket(2), 1u);
-  EXPECT_EQ(hist.bucket(4), 2u);
-}
-
-TEST(Histogram, BucketBoundaries) {
-  Histogram hist(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, QuantileApproximatesUniform) {
-  Histogram hist(0.0, 1.0, 100);
-  Rng rng(7);
-  for (int i = 0; i < 100000; ++i) hist.add(rng.uniform_double());
-  EXPECT_NEAR(hist.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(hist.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(hist.quantile(0.1), 0.1, 0.02);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-}
-
-TEST(Percentile, ExactValues) {
-  std::vector<double> data{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.25), 2.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> data{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 0.75), 7.5);
-}
-
-TEST(Percentile, RejectsEmpty) {
-  EXPECT_THROW(percentile({}, 0.5), PreconditionError);
 }
 
 }  // namespace

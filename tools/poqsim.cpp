@@ -404,6 +404,37 @@ std::vector<scenario::ScenarioSpec> build_axis_grid(
   return grid;
 }
 
+/// The grid of `sweep` and `client sweep`: the --nodes axis (outermost)
+/// plus every --axes axis, expanded over the frame and knob options.
+struct SweepGrid {
+  std::vector<SweepAxis> axes;
+  std::vector<scenario::ScenarioSpec> cells;
+};
+
+SweepGrid build_sweep_grid(const util::ArgParser& args,
+                           const scenario::Protocol& protocol) {
+  SweepGrid grid;
+  SweepAxis nodes_axis;
+  nodes_axis.name = "nodes";
+  for (const std::size_t n : parse_node_list(args.get_string("nodes", "9,16,25"))) {
+    nodes_axis.values.push_back(std::to_string(n));
+  }
+  grid.axes.push_back(std::move(nodes_axis));
+  if (args.has("axes")) {
+    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
+      if (axis.name == "nodes") {
+        throw PreconditionError(
+            "axis 'nodes' is owned by --nodes; list the counts there");
+      }
+      grid.axes.push_back(std::move(axis));
+    }
+  }
+  scenario::ScenarioSpec base = parse_frame(args, protocol.name(), false);
+  parse_knobs(args, protocol, base);
+  grid.cells = build_axis_grid(base, protocol, grid.axes);
+  return grid;
+}
+
 int cmd_sweep(const util::ArgParser& args) {
   if (args.has("help")) {
     std::cout <<
@@ -427,9 +458,8 @@ int cmd_sweep(const util::ArgParser& args) {
               << kCommonOptionsHelp;
     return 0;
   }
-  const std::string protocol_name =
-      canonical_protocol(args.get_string("protocol", "balancing"));
-  const scenario::Protocol& protocol = scenario::registry().find(protocol_name);
+  const scenario::Protocol& protocol = scenario::registry().find(
+      canonical_protocol(args.get_string("protocol", "balancing")));
   const std::int64_t seeds = args.get_int("seeds", 3);
   if (seeds < 1 || seeds > 1000000) {
     throw PreconditionError("--seeds must be in [1, 1000000] (got " +
@@ -457,32 +487,7 @@ int cmd_sweep(const util::ArgParser& args) {
     throw PreconditionError("--grid renders a table; drop --json");
   }
 
-  // Axes: --nodes is the outermost axis; --axes appends further ones.
-  std::vector<SweepAxis> axes;
-  {
-    SweepAxis nodes_axis;
-    nodes_axis.name = "nodes";
-    for (const std::size_t n : parse_node_list(args.get_string("nodes", "9,16,25"))) {
-      nodes_axis.values.push_back(std::to_string(n));
-    }
-    axes.push_back(std::move(nodes_axis));
-  }
-  if (args.has("axes")) {
-    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
-      if (axis.name == "nodes") {
-        throw PreconditionError(
-            "axis 'nodes' is owned by --nodes; list the counts there");
-      }
-      axes.push_back(std::move(axis));
-    }
-  }
-
-  scenario::ScenarioSpec base = parse_frame(args, protocol_name, false);
-  parse_knobs(args, protocol, base);
-  // `sweep` owns --threads as the pool size; the per-protocol 'threads'
-  // knob (intra-run) is set via --intra-threads or a --axes axis, never
-  // forwarded from --threads.
-  base.knobs.erase("threads");
+  auto [axes, grid] = build_sweep_grid(args, protocol);
   check_unused(args);
 
   bool threads_axis = false;
@@ -493,9 +498,15 @@ int cmd_sweep(const util::ArgParser& args) {
         "pick one source for the intra-run thread count");
   }
 
-  std::vector<scenario::ScenarioSpec> grid = build_axis_grid(base, protocol, axes);
-  if (intra_threads != 1 && !threads_axis) {
-    scenario::apply_intra_run_threads(grid, static_cast<unsigned>(intra_threads));
+  if (!threads_axis) {
+    // `sweep` owns --threads as the pool size; the per-protocol 'threads'
+    // knob (intra-run) is set via --intra-threads or a --axes axis, never
+    // forwarded from --threads.
+    for (scenario::ScenarioSpec& cell : grid) cell.knobs.erase("threads");
+    if (intra_threads != 1) {
+      scenario::apply_intra_run_threads(grid,
+                                        static_cast<unsigned>(intra_threads));
+    }
   }
   const scenario::SweepRunner runner(options);
   const std::vector<scenario::CellAggregate> cells = runner.run(grid);
@@ -652,35 +663,6 @@ int cmd_serve(const util::ArgParser& args) {
   return 0;
 }
 
-/// Grid construction for `client sweep`: the same --nodes/--axes surface
-/// as `poqsim sweep`, but the sweep executes inside the server.
-std::vector<scenario::ScenarioSpec> build_client_grid(const util::ArgParser& args,
-                                                      const std::string& name) {
-  const scenario::Protocol& protocol = scenario::registry().find(name);
-  std::vector<SweepAxis> axes;
-  {
-    SweepAxis nodes_axis;
-    nodes_axis.name = "nodes";
-    for (const std::size_t n :
-         parse_node_list(args.get_string("nodes", "9,16,25"))) {
-      nodes_axis.values.push_back(std::to_string(n));
-    }
-    axes.push_back(std::move(nodes_axis));
-  }
-  if (args.has("axes")) {
-    for (SweepAxis& axis : parse_axes(args.get_string("axes", ""))) {
-      if (axis.name == "nodes") {
-        throw PreconditionError(
-            "axis 'nodes' is owned by --nodes; list the counts there");
-      }
-      axes.push_back(std::move(axis));
-    }
-  }
-  scenario::ScenarioSpec base = parse_frame(args, name, false);
-  parse_knobs(args, protocol, base);
-  return build_axis_grid(base, protocol, axes);
-}
-
 int cmd_client(const util::ArgParser& args) {
   if (args.has("help") || args.positional().empty()) {
     std::cout <<
@@ -728,14 +710,15 @@ int cmd_client(const util::ArgParser& args) {
     request.set("spec", spec.to_json());
     request.set("watch", watch);
   } else if (action == "sweep") {
-    const std::string protocol =
-        canonical_protocol(args.get_string("protocol", "balancing"));
+    const scenario::Protocol& protocol = scenario::registry().find(
+        canonical_protocol(args.get_string("protocol", "balancing")));
     const std::int64_t seeds = args.get_int("seeds", 3);
     if (seeds < 1 || seeds > 100000) {
       throw PreconditionError("--seeds must be in [1, 100000]");
     }
     Value grid = Value::array();
-    for (const scenario::ScenarioSpec& cell : build_client_grid(args, protocol)) {
+    for (const scenario::ScenarioSpec& cell :
+         build_sweep_grid(args, protocol).cells) {
       grid.push_back(cell.to_json());
     }
     request.set("op", "submit_sweep");
