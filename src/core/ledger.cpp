@@ -37,6 +37,7 @@ PairLedger::PairLedger(std::size_t node_count)
       row.partners.reserve(node_count - 1);
       row.counts.reserve(node_count - 1);
     }
+    mirror_.assign(node_count * node_count, 0);
   }
 }
 
@@ -46,12 +47,20 @@ void PairLedger::check(NodeId x, NodeId y) const {
 }
 
 std::uint32_t PairLedger::row_count(NodeId x, NodeId y) const {
+  if (const std::uint32_t* mirror_row = count_row(x)) return mirror_row[y];
   const Row& row = rows_[x];
   return count_in_row(row.partners, row.counts, y);
 }
 
+void PairLedger::set_mirror(NodeId x, NodeId y, std::uint32_t value) {
+  if (mirror_.empty()) return;
+  mirror_[std::size_t{x} * node_count_ + y] = value;
+  mirror_[std::size_t{y} * node_count_ + x] = value;
+}
+
 std::uint32_t PairLedger::count(NodeId x, NodeId y) const {
   check(x, y);
+  if (const std::uint32_t* mirror_row = count_row(x)) return mirror_row[y];
   // Search the smaller row; both rows belong to the pair's endpoints, so
   // under the two-level commit this never reads a row a concurrent
   // component may be mutating.
@@ -122,11 +131,13 @@ std::uint32_t PairLedger::bump_pair(NodeId x, NodeId y, std::uint32_t amount) {
     row_y.partners.insert(row_y.partners.begin() + static_cast<long>(slot_y), x);
     row_y.counts.insert(row_y.counts.begin() + static_cast<long>(slot_y),
                         amount);
+    set_mirror(x, y, amount);
     return 0;
   }
   const std::uint32_t before = row_x.counts[slot_x];
   row_x.counts[slot_x] = before + amount;
   row_y.counts[partner_slot(row_y.partners, x)] = before + amount;
+  set_mirror(x, y, before + amount);
   return before;
 }
 
@@ -199,6 +210,7 @@ void PairLedger::remove(NodeId x, NodeId y, std::uint32_t amount) {
   row_x.counts[slot_x] = after;
   const std::size_t slot_y = partner_slot(row_y.partners, x);
   row_y.counts[slot_y] = after;
+  set_mirror(x, y, after);
   total_.fetch_sub(amount, std::memory_order_relaxed);
   if (!dirty_.empty()) mark_pair_readers(x, y, before, after);
   if (after == 0) {
@@ -235,11 +247,13 @@ graph::Graph PairLedger::entanglement_graph(std::uint32_t threshold) const {
 std::uint64_t PairLedger::memory_bytes() const {
   // Logical accounting with fixed constants: per-node row headers (two
   // vector headers + the dirty slot) plus live entries (partner id +
-  // count, both symmetric copies counted).
+  // count, both symmetric copies counted), plus the dense mirror's n^2
+  // counts when there is one.
   constexpr std::uint64_t kPerNodeBytes = 56;
   constexpr std::uint64_t kPerEntryBytes =
       sizeof(NodeId) + sizeof(std::uint32_t);
-  std::uint64_t bytes = kPerNodeBytes * node_count_;
+  std::uint64_t bytes = kPerNodeBytes * node_count_ +
+                        sizeof(std::uint32_t) * std::uint64_t{mirror_.size()};
   for (const Row& row : rows_) bytes += kPerEntryBytes * row.partners.size();
   return bytes;
 }

@@ -14,6 +14,12 @@
 // add/remove never allocates (the zero-allocation hot-path contract);
 // above it rows grow amortized — the megascale regime, where a dense
 // reserve would itself be the n^2 allocation this layout exists to avoid.
+// In the pre-reserved regime the ledger also keeps a dense n x n mirror of
+// the counts, written by the same two mutators that write the rows, so a
+// point lookup C_x(y) (count(), the §4 scan's beneficiary reads) is one
+// load instead of a binary search. The rows stay the only source of
+// partners() and partner_counts(); above the limit there is no mirror and
+// every lookup searches a row.
 // The ledger also maintains an optional per-node dirty set for the
 // incremental swap-decide kernel: when enabled, every count mutation marks
 // exactly the nodes whose readable state changed — the two endpoints (they
@@ -101,6 +107,15 @@ class PairLedger {
     return partners[slot] == y ? counts[slot] : 0;
   }
 
+  /// x's row of the dense count mirror (count_row(x)[y] == count(x, y),
+  /// with count_row(x)[x] == 0), or nullptr above kFullReserveNodeLimit,
+  /// where no mirror exists and callers fall back to count_in_row. Valid
+  /// for the ledger's lifetime; no range check.
+  [[nodiscard]] const std::uint32_t* count_row(NodeId x) const {
+    return mirror_.empty() ? nullptr
+                           : mirror_.data() + std::size_t{x} * node_count_;
+  }
+
   /// Number of partners of x (the length of partners(x)).
   [[nodiscard]] std::uint32_t degree(NodeId x) const;
 
@@ -174,7 +189,8 @@ class PairLedger {
 
   /// Below this node count every row pre-reserves node_count-1 slots
   /// (dense worst case, <= ~8 MB total) so steady-state mutation never
-  /// allocates; above it rows grow amortized and memory stays
+  /// allocates, and the ledger keeps the dense count mirror (<= 4 MB);
+  /// above it rows grow amortized and memory stays
   /// O(nodes + live pair types).
   static constexpr std::size_t kFullReserveNodeLimit = 1024;
 
@@ -214,10 +230,14 @@ class PairLedger {
                                   NodeId y);
 
   void check(NodeId x, NodeId y) const;
-  /// Count of (x, y) read from x's row (0 when absent).
+  /// Count of (x, y): the mirror entry when there is a mirror, else a
+  /// search of x's row (0 when absent).
   [[nodiscard]] std::uint32_t row_count(NodeId x, NodeId y) const;
+  /// Write C_x(y) = C_y(x) = value into the mirror, if there is one.
+  void set_mirror(NodeId x, NodeId y, std::uint32_t value);
   /// The row mutation shared by add and add_edges: insert-or-increment
-  /// both symmetric entries by `amount` (> 0); returns the count before.
+  /// both symmetric entries (and the mirror) by `amount` (> 0); returns
+  /// the count before.
   std::uint32_t bump_pair(NodeId x, NodeId y, std::uint32_t amount);
   /// Shared body of the add_edges overloads; `amount_of(i)` yields the
   /// i-th edge's amount.
@@ -232,6 +252,12 @@ class PairLedger {
 
   std::size_t node_count_;
   std::vector<Row> rows_;                       // sparse symmetric counts
+  /// Dense row-major n x n copy of the counts below kFullReserveNodeLimit,
+  /// empty above it. Under the two-level commit a component writes only
+  /// the entries (x, y), (y, x) of pairs inside its own triple, and the
+  /// only other entries it reads (mark_pair_readers' (big, z)) could be
+  /// written only by a component holding both big and z — itself.
+  std::vector<std::uint32_t> mirror_;
   /// Atomic so the two-level swap commit may mutate node-disjoint entries
   /// from concurrent workers (the rows they touch are disjoint then; the
   /// running total is the one shared word). Relaxed is enough: the

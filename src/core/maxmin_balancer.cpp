@@ -57,7 +57,14 @@ std::optional<SwapCandidate> MaxMinBalancer::best_swap(const PairLedger& ledger,
                                                        Scratch& scratch) const {
   // Ground truth reads C_a(b) from a's row, hoisted once per outer
   // partner: the same value count(a, b) returns (the ledger is symmetric),
-  // without re-loading a's row header for every b.
+  // without re-loading a's row header for every b. Below the full-reserve
+  // limit that row is the dense count mirror (one load per lookup);
+  // above it, a's sparse row (one binary search per lookup).
+  if (ledger.count_row(x) != nullptr) {
+    return scan(ledger, x, scratch, [&ledger](NodeId a) {
+      return [row = ledger.count_row(a)](NodeId b) { return row[b]; };
+    });
+  }
   return scan(ledger, x, scratch, [&ledger](NodeId a) {
     return [partners = ledger.partners(a),
             counts = ledger.partner_counts(a)](NodeId b) {

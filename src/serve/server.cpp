@@ -48,7 +48,10 @@ struct Job {
   bool timed_out = false;
   std::chrono::steady_clock::time_point deadline;
   std::vector<std::string> events;
-  Value result;  // null until done (or cancelled with partial cells)
+  /// The result document as encoded text (one copy instead of a Value
+  /// tree next to the job_done frame that already carries it); empty until
+  /// done (or cancelled with partial cells).
+  std::string result;
   std::string error;
 };
 
@@ -102,7 +105,6 @@ struct Server::Impl {
   void finish_job(Job& job, JobState state, Value result, std::string error) {
     const std::lock_guard<std::mutex> lock(mu);
     job.state = state;
-    job.result = std::move(result);
     job.error = std::move(error);
     Value event = event_frame(state == JobState::kDone     ? "job_done"
                               : state == JobState::kFailed ? "job_failed"
@@ -110,7 +112,10 @@ struct Server::Impl {
                               job.id);
     // A cancelled sweep still carries its completed cells — they are
     // bit-identical to a batch run and too expensive to throw away.
-    if (!job.result.is_null()) event.set("result", job.result);
+    if (!result.is_null()) {
+      job.result = result.dump();
+      event.set("result", std::move(result));
+    }
     if (!job.error.empty()) event.set("error", job.error);
     append_event_locked(job, event);
   }
@@ -242,7 +247,9 @@ struct Server::Impl {
     if (detail) {
       out.set("events", static_cast<std::uint64_t>(job.events.size()));
       if (!job.error.empty()) out.set("error", job.error);
-      if (!job.result.is_null()) out.set("result", job.result);
+      // Shortest-round-trip numbers and ordered members make the parse
+      // exact: the status result dumps byte-equal to the terminal event's.
+      if (!job.result.empty()) out.set("result", Value::parse(job.result));
     }
     return out;
   }

@@ -293,13 +293,17 @@ TEST(PairLedger, AddEdgesMatchesScalarAddLoop) {
 }
 
 /// partner_counts(x) is index-aligned with partners(x), every entry is
-/// live (> 0) and equals count(), and count_in_row over the two spans
-/// answers every y exactly like count(x, y).
+/// live (> 0) and equals count(), and count_in_row over the two spans —
+/// and the dense mirror row, when the ledger keeps one — answers every y
+/// exactly like count(x, y).
 void expect_rows_aligned(const PairLedger& ledger) {
   const auto n = static_cast<NodeId>(ledger.node_count());
   for (NodeId x = 0; x < n; ++x) {
     const auto partners = ledger.partners(x);
     const auto counts = ledger.partner_counts(x);
+    const std::uint32_t* mirror = ledger.count_row(x);
+    ASSERT_EQ(mirror != nullptr,
+              ledger.node_count() <= PairLedger::kFullReserveNodeLimit);
     ASSERT_EQ(partners.size(), counts.size()) << "row " << x;
     for (std::size_t k = 0; k < partners.size(); ++k) {
       EXPECT_GT(counts[k], 0u) << "row " << x;
@@ -309,6 +313,9 @@ void expect_rows_aligned(const PairLedger& ledger) {
       const std::uint32_t expected = y == x ? 0 : ledger.count(x, y);
       EXPECT_EQ(PairLedger::count_in_row(partners, counts, y), expected)
           << "row " << x << " lookup " << y;
+      if (mirror != nullptr) {
+        EXPECT_EQ(mirror[y], expected) << "mirror row " << x << " lookup " << y;
+      }
     }
   }
 }

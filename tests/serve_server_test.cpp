@@ -251,6 +251,60 @@ TEST(ServeServer, CancelMidSweepKeepsCompletedCellsBitIdentical) {
   }
 }
 
+TEST(ServeServer, StatusResultEqualsTerminalEvent) {
+  // A finished job keeps its result once, as encoded text; `status` parses
+  // it back. The round trip must be exact: the status result dumps
+  // byte-equal to the terminal event's, for a run job and for a cancelled
+  // sweep's partial cells.
+  const std::string socket = unique_socket_path();
+  ServerOptions options = options_with(socket, 1, 4);
+  options.sweep_threads = 1;
+  ServerFixture fixture(options);
+  Client client(socket);
+  client.connect();
+  Client controller(socket);
+  controller.connect();
+
+  const auto expect_status_matches = [&](const Value& terminal) {
+    const auto job =
+        static_cast<std::uint64_t>(terminal.at("job").as_number());
+    const Value status = controller.request(job_request("status", job));
+    ASSERT_TRUE(status.at("ok").as_bool()) << status.dump();
+    ASSERT_TRUE(status.at("status").contains("result")) << status.dump();
+    EXPECT_EQ(status.at("status").at("result").dump(),
+              terminal.at("result").dump());
+  };
+
+  const Value run =
+      client.request(submit_run_request(quick_spec(16, 7), /*watch=*/true));
+  ASSERT_TRUE(run.at("ok").as_bool()) << run.dump();
+  const Value run_terminal = client.read_events();
+  ASSERT_EQ(run_terminal.at("event").as_string(), "job_done")
+      << run_terminal.dump();
+  expect_status_matches(run_terminal);
+
+  const std::vector<scenario::ScenarioSpec> grid{quick_spec(9, 3),
+                                                 blocker_spec()};
+  const Value sweep =
+      client.request(submit_sweep_request(grid, /*seeds=*/1, /*watch=*/true));
+  ASSERT_TRUE(sweep.at("ok").as_bool()) << sweep.dump();
+  const auto sweep_job =
+      static_cast<std::uint64_t>(sweep.at("job").as_number());
+  bool cancel_sent = false;
+  const Value sweep_terminal = client.read_events([&](const Value& event) {
+    if (!cancel_sent && event.at("event").as_string() == "task_done") {
+      const Value cancelled =
+          controller.request(job_request("cancel", sweep_job));
+      ASSERT_TRUE(cancelled.at("ok").as_bool()) << cancelled.dump();
+      cancel_sent = true;
+    }
+  });
+  ASSERT_EQ(sweep_terminal.at("event").as_string(), "job_cancelled")
+      << sweep_terminal.dump();
+  ASSERT_GE(sweep_terminal.at("result").at("cells").size(), 1u);
+  expect_status_matches(sweep_terminal);
+}
+
 TEST(ServeServer, MalformedFramesGetBadRequestAndKeepTheConnection) {
   const std::string socket = unique_socket_path();
   ServerFixture fixture(options_with(socket, 1, 4));

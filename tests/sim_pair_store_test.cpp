@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,63 +91,144 @@ namespace {
 
 // --- ledger churn vs a dense reference --------------------------------
 
-TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
-  // Random add/remove churn on the sparse partner rows vs a dense n x n
-  // count matrix: counts, totals, the minimum-over-pairs, and the
-  // thresholded entanglement graph must agree after every operation
-  // batch. Erasing rows to zero and re-inserting them exercises the
-  // partner-slot insert/erase paths that the dense array never had.
-  constexpr std::size_t kNodes = 24;
-  util::Rng rng(0x5EED5);
-  core::PairLedger ledger(kNodes);
+/// Random add/remove churn on `kIds` node ids spread evenly over a
+/// `node_count`-node ledger vs a dense count matrix over those ids:
+/// counts, totals, the partner rows with their aligned counts, and the
+/// thresholded entanglement graph must agree after every operation batch.
+/// Erasing pairs to zero and re-inserting them exercises the partner-slot
+/// insert/erase paths that the dense array never had; batches from all
+/// three add_edges overloads run between the scalar operations. count()
+/// reads the dense mirror below kFullReserveNodeLimit and the sparse rows
+/// above it, while partners()/partner_counts() always read the rows, so
+/// running this on both sides of the limit checks both layouts.
+void ledger_churn_matches_dense(std::size_t node_count, std::uint64_t seed) {
+  constexpr std::size_t kIds = 24;
+  std::vector<core::NodeId> ids;
+  for (std::size_t k = 0; k < kIds; ++k) {
+    ids.push_back(static_cast<core::NodeId>(k * (node_count / kIds)));
+  }
+  util::Rng rng(seed);
+  core::PairLedger ledger(node_count);
+  ASSERT_EQ(ledger.count_row(0) != nullptr,
+            node_count <= core::PairLedger::kFullReserveNodeLimit);
   std::vector<std::vector<std::uint32_t>> dense(
-      kNodes, std::vector<std::uint32_t>(kNodes, 0));
+      kIds, std::vector<std::uint32_t>(kIds, 0));
+  const auto random_pair = [&] {
+    const auto i = rng.uniform_index(kIds);
+    auto j = rng.uniform_index(kIds - 1);
+    if (j >= i) ++j;
+    return std::pair<std::size_t, std::size_t>(i, j);
+  };
+  const auto reference_add = [&](std::size_t i, std::size_t j,
+                                 std::uint32_t amount) {
+    dense[i][j] += amount;
+    dense[j][i] += amount;
+  };
 
   for (int batch = 0; batch < 60; ++batch) {
     for (int op = 0; op < 40; ++op) {
-      auto x = static_cast<core::NodeId>(rng.uniform_index(kNodes));
-      auto y = static_cast<core::NodeId>(rng.uniform_index(kNodes - 1));
-      if (y >= x) ++y;
+      const auto [i, j] = random_pair();
+      const core::NodeId x = ids[i];
+      const core::NodeId y = ids[j];
       const auto amount = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
-      if (rng.bernoulli(0.55) || dense[x][y] == 0) {
+      if (rng.bernoulli(0.55) || dense[i][j] == 0) {
         ledger.add(x, y, amount);
-        dense[x][y] += amount;
-        dense[y][x] += amount;
+        reference_add(i, j, amount);
       } else {
-        const std::uint32_t take = std::min(amount, dense[x][y]);
+        const std::uint32_t take = std::min(amount, dense[i][j]);
         ledger.remove(x, y, take);
-        dense[x][y] -= take;
-        dense[y][x] -= take;
+        dense[i][j] -= take;
+        dense[j][i] -= take;
       }
     }
+    // One batched merge per batch, rotating through the three overloads
+    // (zero amounts and zero flags included).
+    std::vector<graph::Edge> edges;
+    std::vector<std::pair<std::size_t, std::size_t>> slots;
+    for (int e = 0; e < 8; ++e) {
+      const auto [i, j] = random_pair();
+      edges.push_back(graph::Edge{ids[i], ids[j]});
+      slots.emplace_back(i, j);
+    }
+    std::vector<std::uint32_t> amounts(edges.size());
+    switch (batch % 3) {
+      case 0:
+        ledger.add_edges(edges, 2);
+        std::fill(amounts.begin(), amounts.end(), 2u);
+        break;
+      case 1:
+        for (std::uint32_t& amount : amounts) {
+          amount = static_cast<std::uint32_t>(rng.uniform_index(3));
+        }
+        ledger.add_edges(edges, std::span<const std::uint32_t>(amounts));
+        break;
+      default: {
+        std::vector<std::uint8_t> extra(edges.size());
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+          extra[e] = rng.bernoulli(0.5) ? 1 : 0;
+          amounts[e] = extra[e];
+        }
+        ledger.add_edges(edges, 0, std::span<const std::uint8_t>(extra));
+        break;
+      }
+    }
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      reference_add(slots[e].first, slots[e].second, amounts[e]);
+    }
+
     std::uint64_t total = 0;
-    for (core::NodeId x = 0; x < kNodes; ++x) {
-      for (core::NodeId y = x + 1; y < kNodes; ++y) {
-        ASSERT_EQ(ledger.count(x, y), dense[x][y])
-            << "batch " << batch << " pair (" << x << "," << y << ")";
-        total += dense[x][y];
+    for (std::size_t i = 0; i < kIds; ++i) {
+      for (std::size_t j = i + 1; j < kIds; ++j) {
+        ASSERT_EQ(ledger.count(ids[i], ids[j]), dense[i][j])
+            << "batch " << batch << " pair (" << ids[i] << "," << ids[j]
+            << ")";
+        ASSERT_EQ(ledger.count(ids[j], ids[i]), dense[i][j])
+            << "batch " << batch << " pair (" << ids[j] << "," << ids[i]
+            << ")";
+        total += dense[i][j];
       }
     }
     ASSERT_EQ(ledger.total_pairs(), total) << "batch " << batch;
-    // Partner rows must hold exactly the nonzero pairs, both directions.
-    for (core::NodeId x = 0; x < kNodes; ++x) {
-      std::vector<core::NodeId> expected;
-      for (core::NodeId y = 0; y < kNodes; ++y) {
-        if (dense[x][y] > 0) expected.push_back(y);
+    // Partner rows must hold exactly the nonzero pairs, both directions,
+    // with counts aligned to them.
+    for (std::size_t i = 0; i < kIds; ++i) {
+      std::vector<core::NodeId> expected_partners;
+      std::vector<std::uint32_t> expected_counts;
+      for (std::size_t j = 0; j < kIds; ++j) {
+        if (dense[i][j] > 0) {
+          expected_partners.push_back(ids[j]);
+          expected_counts.push_back(dense[i][j]);
+        }
       }
-      const std::span<const core::NodeId> row = ledger.partners(x);
-      ASSERT_EQ(std::vector<core::NodeId>(row.begin(), row.end()), expected)
-          << "batch " << batch << " row " << x;
+      const std::span<const core::NodeId> row = ledger.partners(ids[i]);
+      ASSERT_EQ(std::vector<core::NodeId>(row.begin(), row.end()),
+                expected_partners)
+          << "batch " << batch << " row " << ids[i];
+      const std::span<const std::uint32_t> counts =
+          ledger.partner_counts(ids[i]);
+      ASSERT_EQ(std::vector<std::uint32_t>(counts.begin(), counts.end()),
+                expected_counts)
+          << "batch " << batch << " row " << ids[i];
     }
     const graph::Graph entanglement = ledger.entanglement_graph(2);
     std::size_t expected_edges = 0;
-    for (core::NodeId x = 0; x < kNodes; ++x) {
-      for (core::NodeId y = x + 1; y < kNodes; ++y) {
-        if (dense[x][y] >= 2) ++expected_edges;
+    for (std::size_t i = 0; i < kIds; ++i) {
+      for (std::size_t j = i + 1; j < kIds; ++j) {
+        if (dense[i][j] >= 2) ++expected_edges;
       }
     }
     ASSERT_EQ(entanglement.edge_count(), expected_edges) << "batch " << batch;
   }
+}
+
+TEST(PairStoreChurn, LedgerFuzzMatchesDenseReference) {
+  // Every node churns; the ledger keeps its dense count mirror.
+  ledger_churn_matches_dense(24, 0x5EED5);
+  // Churn spread over a ledger above the full-reserve limit: no mirror,
+  // every count() searches a sparse row.
+  constexpr std::size_t kSparseNodes = 1100;
+  static_assert(kSparseNodes > core::PairLedger::kFullReserveNodeLimit);
+  ledger_churn_matches_dense(kSparseNodes, 0x5EED6);
 }
 
 // --- tracked-pair churn vs a dense reference --------------------------
